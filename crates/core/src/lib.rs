@@ -11,14 +11,15 @@
 //!   triangulation, with the cost-independent initialization factored into
 //!   [`Preprocessed`] so it is paid once per graph;
 //! * [`ranked`] — `RankedTriang⟨κ⟩`: Lawler–Murty ranked enumeration of all
-//!   minimal triangulations by increasing cost, exposed as a lazy iterator;
+//!   minimal triangulations by increasing cost, exposed as a lazy iterator.
+//!   One engine serves every thread count: its re-optimizations run inline
+//!   or as batches on a worker pool (the delay-reduction extension sketched
+//!   in the paper's footnote 3);
 //! * [`properdec`] — ranked enumeration of proper tree decompositions (the
 //!   clique trees of the minimal triangulations, Proposition 6.1);
 //! * [`baseline`] — the unranked complete enumerator the paper compares
 //!   against ("CKK") and a zero-initialization LB-Triang sampler;
-//! * [`parallel`] — the parallel variant of the ranked enumerator (the
-//!   delay-reduction extension sketched in the paper's footnote 3);
-//! * [`pool`] — the shared work-stealing worker pool both the parallel
+//! * [`pool`] — the shared work-stealing worker pool both the ranked
 //!   engine and the factorized per-atom engine of `mtr-reduce` execute on;
 //! * [`diverse`] — diversity-aware filtering of the ranked stream (the
 //!   diversification question raised in the paper's conclusions);
@@ -44,9 +45,9 @@
 //! ```
 //!
 //! The per-algorithm constructors ([`RankedEnumerator::new`],
-//! [`ParallelRankedEnumerator::new`],
-//! [`ProperDecompositionEnumerator::new`], [`Diversified::new`]) remain
-//! available as the engine layer underneath the session; prefer
+//! [`ProperDecompositionEnumerator::new`], [`Diversified::new`]) and the
+//! [`RankedState`] engine remain available as the layer underneath the
+//! session (its pooled path is [`RankedState::next_with_pool`]); prefer
 //! [`Enumerate`] in new code.
 
 #![forbid(unsafe_code)]
@@ -57,7 +58,6 @@ pub mod cancel;
 pub mod cost;
 pub mod diverse;
 pub mod mintriang;
-pub mod parallel;
 pub mod pool;
 pub mod properdec;
 pub mod ranked;
@@ -69,7 +69,6 @@ pub use cancel::CancelFlag;
 pub use cost::{named_cost, BagCost, Constrained, Constraints, CostValue, DynBagCost};
 pub use diverse::{Diversified, DiversityFilter, SimilarityMeasure};
 pub use mintriang::{min_triangulation, min_triangulation_in, Preprocessed, Triangulation};
-pub use parallel::ParallelRankedEnumerator;
 pub use pool::{panic_message, resolve_threads, PoolStats, Scratch, TaskPanic, WorkerPool};
 pub use properdec::{
     top_k_proper_decompositions, ProperDecompositionEnumerator, RankedDecomposition,

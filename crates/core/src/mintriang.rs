@@ -96,50 +96,24 @@ impl Preprocessed {
     /// Full (unbounded) preprocessing of `g`: all minimal separators and all
     /// potential maximal cliques. Polynomial under the poly-MS assumption.
     pub fn new(g: &Graph) -> Self {
-        let enumeration = potential_maximal_cliques(g);
-        Self::build(g, enumeration.minimal_separators, enumeration.pmcs, None, 1)
+        let e = potential_maximal_cliques(g);
+        Self::from_parts_threaded(g, e.minimal_separators, e.pmcs, None, 1)
     }
 
     /// Width-bounded preprocessing (`MinTriangB`): only separators of size
     /// `≤ width_bound` and PMCs of size `≤ width_bound + 1` are considered,
     /// which bounds the work without the poly-MS assumption (Section 5.3).
     pub fn new_bounded(g: &Graph, width_bound: usize) -> Self {
-        let enumeration = potential_maximal_cliques_bounded(g, width_bound + 1);
-        let seps = enumeration
-            .minimal_separators
-            .into_iter()
-            .filter(|s| s.len() <= width_bound)
-            .collect();
-        Self::build(g, seps, enumeration.pmcs, Some(width_bound), 1)
+        let e = potential_maximal_cliques_bounded(g, width_bound + 1);
+        Self::from_parts_threaded(g, e.minimal_separators, e.pmcs, Some(width_bound), 1)
     }
 
-    /// Builds the candidate structure from precomputed separators and PMCs.
-    pub fn from_parts(g: &Graph, minimal_separators: Vec<VertexSet>, pmcs: Vec<VertexSet>) -> Self {
-        Self::build(g, minimal_separators, pmcs, None, 1)
-    }
-
-    /// Like [`Preprocessed::from_parts`], but for parts produced by a
-    /// width-bounded enumeration: separators larger than `width_bound` are
-    /// dropped (mirroring [`Preprocessed::new_bounded`]) and the bound is
-    /// recorded.
-    pub fn from_parts_bounded(
-        g: &Graph,
-        minimal_separators: Vec<VertexSet>,
-        pmcs: Vec<VertexSet>,
-        width_bound: usize,
-    ) -> Self {
-        let seps = minimal_separators
-            .into_iter()
-            .filter(|s| s.len() <= width_bound)
-            .collect();
-        Self::build(g, seps, pmcs, Some(width_bound), 1)
-    }
-
-    /// The threaded constructor behind the session layer: like
-    /// [`Preprocessed::from_parts`] / [`Preprocessed::from_parts_bounded`]
-    /// (the bound filter applies when `width_bound` is set), but the
-    /// per-block candidate resolution — the embarrassingly parallel part of
-    /// the initialization — fans out over `threads` pool workers.
+    /// Builds the candidate structure from precomputed separators and PMCs
+    /// (for example from `mtr_pmc::potential_maximal_cliques_until`). With
+    /// `width_bound` set, separators larger than the bound are dropped
+    /// (mirroring [`Preprocessed::new_bounded`]) and the bound is recorded.
+    /// The per-block candidate resolution — the embarrassingly parallel
+    /// part of the initialization — fans out over `threads` pool workers.
     pub fn from_parts_threaded(
         g: &Graph,
         minimal_separators: Vec<VertexSet>,
@@ -147,23 +121,13 @@ impl Preprocessed {
         width_bound: Option<usize>,
         threads: usize,
     ) -> Self {
-        let seps = match width_bound {
+        let minimal_separators: Vec<VertexSet> = match width_bound {
             Some(b) => minimal_separators
                 .into_iter()
                 .filter(|s| s.len() <= b)
                 .collect(),
             None => minimal_separators,
         };
-        Self::build(g, seps, pmcs, width_bound, threads)
-    }
-
-    fn build(
-        g: &Graph,
-        minimal_separators: Vec<VertexSet>,
-        pmcs: Vec<VertexSet>,
-        width_bound: Option<usize>,
-        threads: usize,
-    ) -> Self {
         let blocks = full_blocks(g, &minimal_separators);
         let block_vertices: Vec<VertexSet> = blocks.iter().map(Block::vertices).collect();
         let block_index: HashMap<Block, usize> = blocks
@@ -669,8 +633,7 @@ mod tests {
         ];
         for g in cases {
             let e = potential_maximal_cliques(&g);
-            let sequential =
-                Preprocessed::from_parts(&g, e.minimal_separators.clone(), e.pmcs.clone());
+            let sequential = Preprocessed::new(&g);
             let threaded =
                 Preprocessed::from_parts_threaded(&g, e.minimal_separators, e.pmcs, None, 4);
             assert_eq!(sequential.full_blocks().len(), threaded.full_blocks().len());

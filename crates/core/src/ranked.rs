@@ -10,6 +10,15 @@
 //! `κ[I, X]`. Popping the cheapest entry emits its triangulation and splits
 //! the remainder of its partition into sub-partitions.
 //!
+//! The paper notes (Section 7.1, footnote 3) that the loop parallelizes at
+//! exactly that split: the constrained re-optimizations of one popped
+//! partition's children are independent of each other. [`RankedState`] is
+//! the one loop for both cases. It solves the children of each expansion as
+//! one batch — inline on its own scratch arena, or one task per child on a
+//! [`WorkerPool`] passed to [`RankedState::next_with_pool`] — and queues them
+//! in generation order, so the stream (ties included) and every work counter
+//! are the same at any thread count; only the delay changes.
+//!
 //! The enumerator is exposed as a lazy [`Iterator`], so callers get any-time
 //! top-k semantics: stop pulling and no further work is done. With a
 //! poly-MS class of graphs (or a constant width bound) the delay between
@@ -18,7 +27,7 @@
 use crate::cancel::CancelFlag;
 use crate::cost::{BagCost, Constrained, Constraints, CostValue};
 use crate::mintriang::{min_triangulation_in, Preprocessed, Triangulation};
-use crate::pool::Scratch;
+use crate::pool::{Scratch, TaskPanic, WorkerPool};
 use crate::symmetry::{ModuloDedup, OrbitContext, OrbitShare, SymmetryMode};
 use mtr_graph::{Graph, VertexSet};
 use mtr_separators::enumerate::minimal_separators;
@@ -57,6 +66,106 @@ impl RankedTriangulation {
     }
 }
 
+/// The Lawler–Murty priority queue: the cheapest entry pops first, and
+/// entries of equal cost pop in the order they were pushed.
+///
+/// That tie rule keeps a ranked stream reproducible. Pruning and orbit
+/// sharing queue placeholders keyed by a lower bound or a replayed cost;
+/// when one reaches the front it is solved and put back with
+/// [`RankedQueue::reinsert`] under its *original* sequence number, so it
+/// ranks exactly where an eager push would have ranked it.
+#[derive(Debug)]
+pub struct RankedQueue<P> {
+    heap: BinaryHeap<Queued<P>>,
+    sequence: u64,
+}
+
+/// The generation position of a popped entry: [`RankedQueue::reinsert`]
+/// restores the entry's tie position from it.
+#[derive(Clone, Copy, Debug)]
+pub struct Ticket(u64);
+
+#[derive(Debug)]
+struct Queued<P> {
+    cost: CostValue,
+    sequence: u64,
+    payload: P,
+}
+
+impl<P> PartialEq for Queued<P> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cost == other.cost && self.sequence == other.sequence
+    }
+}
+impl<P> Eq for Queued<P> {}
+impl<P> PartialOrd for Queued<P> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<P> Ord for Queued<P> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap: reverse so the cheapest cost (then the
+        // oldest entry) is popped first.
+        other
+            .cost
+            .cmp(&self.cost)
+            .then_with(|| other.sequence.cmp(&self.sequence))
+    }
+}
+
+impl<P> Default for RankedQueue<P> {
+    fn default() -> Self {
+        RankedQueue {
+            heap: BinaryHeap::new(),
+            sequence: 0,
+        }
+    }
+}
+
+impl<P> RankedQueue<P> {
+    /// Queues `payload` at `cost`, behind every entry already queued at the
+    /// same cost.
+    pub fn push(&mut self, cost: CostValue, payload: P) {
+        self.sequence += 1;
+        self.heap.push(Queued {
+            cost,
+            sequence: self.sequence,
+            payload,
+        });
+    }
+
+    /// Removes the cheapest entry (the oldest among equal costs), with the
+    /// cost it was keyed by and its [`Ticket`].
+    pub fn pop(&mut self) -> Option<(CostValue, Ticket, P)> {
+        self.heap
+            .pop()
+            .map(|q| (q.cost, Ticket(q.sequence), q.payload))
+    }
+
+    /// Puts a popped entry back, now keyed by `cost`, in its original tie
+    /// position. When `cost` is at least the key it was popped at, the entry
+    /// ranks exactly where it would have ranked had it been pushed at `cost`
+    /// in the first place.
+    pub fn reinsert(&mut self, ticket: Ticket, cost: CostValue, payload: P) {
+        self.heap.push(Queued {
+            cost,
+            sequence: ticket.0,
+            payload,
+        });
+    }
+
+    /// Number of queued entries.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// `true` when no entry is queued.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+}
+
 /// How a queued partition is materialized.
 #[derive(Debug)]
 enum NodeState {
@@ -76,56 +185,50 @@ enum NodeState {
     Known,
 }
 
-/// A partition of the not-yet-emitted triangulations, keyed by the exact
-/// cost of its best member (solved) or an admissible lower bound (deferred).
+/// A queued partition: how it is materialized plus the constraints
+/// `(I, X)` that carve it out.
 #[derive(Debug)]
-struct QueueEntry {
-    cost: CostValue,
-    sequence: u64,
+struct Node {
     state: NodeState,
     constraints: Constraints,
 }
 
-impl PartialEq for QueueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cost == other.cost && self.sequence == other.sequence
-    }
-}
-impl Eq for QueueEntry {}
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: reverse so the cheapest cost (then the
-        // oldest entry) is popped first.
-        other
-            .cost
-            .cmp(&self.cost)
-            .then_with(|| other.sequence.cmp(&self.sequence))
-    }
+/// A batch of constrained children, each with its best member — `None` when
+/// its partition is empty.
+type Solved = Vec<(Constraints, Option<Triangulation>)>;
+
+/// Solves `MinTriang⟨κ[I, X]⟩` for one child on `scratch`. Guards against a
+/// best solution that silently violates the constraints (line 12 of the
+/// algorithm), so only non-empty partitions are ever queued.
+fn solve_child<K: BagCost + ?Sized>(
+    pre: &Preprocessed,
+    cost: &K,
+    constraints: Constraints,
+    scratch: &mut Scratch,
+) -> (Constraints, Option<Triangulation>) {
+    let best = min_triangulation_in(pre, &Constrained::new(cost, &constraints), scratch)
+        .filter(|best| constraints.satisfied_by_graph(&best.graph));
+    (constraints, best)
 }
 
 /// The mutable engine state of one Lawler–Murty ranked enumeration —
 /// priority queue, emitted set, and counters — decoupled from *where* the
-/// preprocessing and cost live.
+/// preprocessing and cost live, and from where the re-optimizations run.
 ///
 /// [`RankedEnumerator`] is the common borrowing wrapper; callers that need
 /// to own their [`Preprocessed`] next to the enumeration state (the
 /// per-atom streams of the `mtr-reduce` factorized enumerator) drive a
 /// `RankedState` directly, passing the same `pre`/`cost` pair to every
-/// [`RankedState::next`] call.
+/// [`RankedState::next`] call. The session layer drives one through
+/// [`RankedState::next_with_pool`], which solves on its worker pool.
 #[derive(Debug, Default)]
 pub struct RankedState {
-    queue: BinaryHeap<QueueEntry>,
+    queue: RankedQueue<Node>,
     emitted_fills: HashSet<Vec<(u32, u32)>>,
     duplicates_skipped: usize,
     nodes_explored: usize,
-    sequence: u64,
     started: bool,
-    /// Per-state arena for the `MinTriang` re-optimizations.
+    /// Per-state arena for the inline `MinTriang` re-optimizations.
     scratch: Scratch,
     /// Incumbent-bounded pruning: when on, children whose lower bound
     /// strictly exceeds `incumbent` are enqueued [`NodeState::Deferred`]
@@ -139,13 +242,18 @@ pub struct RankedState {
     /// far; any of them still in the queue when the caller stops pulling
     /// was pruned for good).
     nodes_deferred: usize,
-    /// Cooperative cancellation: when raised, [`RankedState::next`] bails
-    /// out with `None` at its demand boundary (before popping the next
-    /// partition), leaving the emitted sequence a valid ranked prefix.
+    /// Cooperative cancellation: when raised, the state bails out with
+    /// `None` at its demand boundary (before popping the next partition),
+    /// leaving the emitted sequence a valid ranked prefix.
     cancel: Option<CancelFlag>,
     /// Symmetry machinery: orbit-canonical exact-cost sharing (full mode)
     /// or orbit quotienting (modulo mode); see [`crate::symmetry`].
     symmetry: SymmetryMode,
+    /// First pool-task failure (a panicking cost function or an injected
+    /// `pool.task` fault) seen by a pooled batch. Once set the state
+    /// produces nothing more, and the session reports the failure as a
+    /// typed error instead of exhaustion.
+    failed: Option<String>,
 }
 
 impl RankedState {
@@ -213,7 +321,9 @@ impl RankedState {
         self.incumbent
     }
 
-    /// Bytes of bitset scratch this state's arena served without allocating.
+    /// Bytes of bitset scratch this state's arena served without allocating
+    /// (inline re-optimizations only; pooled ones use the workers' arenas,
+    /// which the pool reports).
     pub fn arena_bytes_reused(&self) -> usize {
         self.scratch.bytes_reused()
     }
@@ -238,7 +348,16 @@ impl RankedState {
         self.queue.len()
     }
 
-    /// Advances the enumeration by one result.
+    /// The message of the pool-task panic (or injected `pool.task` fault)
+    /// that stopped a pooled enumeration, if one did. The emitted prefix
+    /// stays a valid ranked prefix, but the caller must report the failure
+    /// rather than exhaustion.
+    pub fn failure(&self) -> Option<&str> {
+        self.failed.as_deref()
+    }
+
+    /// Advances the enumeration by one result, solving every
+    /// re-optimization inline on this state's own scratch arena.
     ///
     /// Every call on one `RankedState` must pass the *same* `pre` and
     /// `cost`; the state is meaningless across different graphs or costs.
@@ -247,36 +366,80 @@ impl RankedState {
         pre: &Preprocessed,
         cost: &K,
     ) -> Option<RankedTriangulation> {
+        self.advance(pre, cost, |scratch, batch| {
+            Ok(batch
+                .into_iter()
+                .map(|c| solve_child(pre, cost, c, scratch))
+                .collect())
+        })
+    }
+
+    /// [`RankedState::next`] with an optional worker pool. With a pool, the
+    /// children of each expansion are solved as one
+    /// [`WorkerPool::run_batch`] (one task per child, each drawing its
+    /// scratch from its worker's arena), and a deferred or replayed
+    /// partition that reaches the front is solved as a one-task batch. The
+    /// stream and every work counter are those of the inline run. A task
+    /// that panics (or an injected `pool.task` fault) stops the state:
+    /// this and every later call return `None`, and
+    /// [`RankedState::failure`] reports the message.
+    pub fn next_with_pool<'env, K: BagCost + Sync + ?Sized>(
+        &mut self,
+        pre: &'env Preprocessed,
+        cost: &'env K,
+        pool: Option<WorkerPool<'env, '_>>,
+    ) -> Option<RankedTriangulation> {
+        let Some(pool) = pool else {
+            return self.next(pre, cost);
+        };
+        self.advance(pre, cost, |_, batch| {
+            let tasks: Vec<_> = batch
+                .into_iter()
+                .map(|c| move |scratch: &mut Scratch| solve_child(pre, cost, c, scratch))
+                .collect();
+            pool.run_batch(tasks)
+        })
+    }
+
+    /// The Lawler–Murty loop: pop the cheapest partition, emit its best
+    /// member, and split the rest of the partition into children, whose
+    /// re-optimizations `solve` runs as one batch.
+    fn advance<K, S>(
+        &mut self,
+        pre: &Preprocessed,
+        cost: &K,
+        mut solve: S,
+    ) -> Option<RankedTriangulation>
+    where
+        K: BagCost + ?Sized,
+        S: FnMut(&mut Scratch, Vec<Constraints>) -> Result<Solved, TaskPanic>,
+    {
         if !self.started {
             self.started = true;
-            self.push_partition(pre, cost, Constraints::none(), None);
+            self.enqueue(vec![(Constraints::none(), None)], &mut solve);
         }
         loop {
             // The demand boundary: between partition pops, never inside a
             // re-optimization, so cancellation is prompt but the emitted
-            // prefix stays exact.
-            if self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+            // prefix stays exact. A failed pool batch stops here too.
+            if self.failed.is_some() || self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
                 return None;
             }
-            let entry = self.queue.pop()?;
-            let best = match entry.state {
+            let (key, ticket, node) = self.queue.pop()?;
+            let best = match node.state {
                 NodeState::Solved(best) => best,
-                NodeState::Deferred => {
-                    // The deferred partition reached the front of the queue:
-                    // it must be solved now. Reinserting at its exact cost
-                    // with the *original* sequence number reproduces the
-                    // unpruned order exactly, ties included, because the
-                    // lower bound never exceeds the exact cost.
-                    self.nodes_deferred -= 1;
-                    self.resolve_entry(pre, cost, entry);
-                    continue;
-                }
-                NodeState::Known => {
-                    // An orbit replay reached the front: materialize its
-                    // triangulation now. The entry's key is already the
-                    // exact cost, so reinserting with the original sequence
-                    // number leaves the stream untouched.
-                    self.resolve_entry(pre, cost, entry);
+                placeholder => {
+                    // A deferred partition (keyed by an admissible lower
+                    // bound) or an orbit replay (keyed by its exact cost)
+                    // reached the front of the queue: solve it now and
+                    // reinsert it at its exact cost with its *original*
+                    // sequence number. That reproduces the eager order
+                    // exactly, ties included, because the key never exceeds
+                    // the exact cost.
+                    if matches!(placeholder, NodeState::Deferred) {
+                        self.nodes_deferred -= 1;
+                    }
+                    self.resolve(ticket, key, node.constraints, &mut solve);
                     continue;
                 }
             };
@@ -292,7 +455,12 @@ impl RankedState {
             // The minimal separators of H feed both the partition expansion
             // and the emitted result: compute them once and share.
             let seps_of_h = minimal_separators(&best.graph);
-            self.expand(pre, cost, &seps_of_h, &entry.constraints, entry.cost);
+            self.expand(pre, cost, &seps_of_h, &node.constraints, key, &mut solve);
+            if self.failed.is_some() {
+                // The expansion batch died: `best` was computed, but the
+                // enumeration is failing — emit nothing past the fault.
+                return None;
+            }
             if !is_new {
                 // Should not happen (partitions are disjoint); counted so the
                 // tests can assert on it, and skipped to preserve soundness.
@@ -309,126 +477,65 @@ impl RankedState {
             if !orbit_new {
                 continue;
             }
-            let result = RankedTriangulation {
+            return Some(RankedTriangulation {
                 minimal_separators: seps_of_h,
                 triangulation: best.graph,
                 bags: best.bags,
                 cost: best.cost,
-            };
-            return Some(result);
+            });
         }
     }
 
-    /// Re-optimizes a deferred or replayed entry and reinserts it (at its
-    /// exact cost, keeping its sequence number) when its partition is
-    /// non-empty.
-    fn resolve_entry<K: BagCost + ?Sized>(
+    /// Re-optimizes a deferred or replayed partition that reached the front
+    /// of the queue and, when it is non-empty, reinserts it at its exact
+    /// cost in its original tie position.
+    fn resolve<S>(
         &mut self,
-        pre: &Preprocessed,
-        cost: &K,
-        entry: QueueEntry,
-    ) {
-        self.nodes_explored += 1;
-        let constrained = Constrained::new(cost, &entry.constraints);
-        if let Some(best) = min_triangulation_in(pre, &constrained, &mut self.scratch) {
-            if entry.constraints.satisfied_by_graph(&best.graph) {
-                debug_assert!(
-                    best.cost >= entry.cost,
-                    "deferral lower bound must be admissible"
-                );
-                self.record_outcome(&entry.constraints, best.cost);
-                self.queue.push(QueueEntry {
-                    cost: best.cost,
-                    sequence: entry.sequence,
-                    state: NodeState::Solved(best),
-                    constraints: entry.constraints,
-                });
-            }
-        }
-    }
-
-    /// Publishes a feasible subproblem's exact optimum to its orbit, when
-    /// sharing is on.
-    fn record_outcome(&mut self, constraints: &Constraints, cost: CostValue) {
-        if let SymmetryMode::Share(share) = &mut self.symmetry {
-            if let Some(key) = share.key_of(constraints) {
-                share.put(key, cost);
-            }
-        }
-    }
-
-    fn push_partition<K: BagCost + ?Sized>(
-        &mut self,
-        pre: &Preprocessed,
-        cost: &K,
+        ticket: Ticket,
+        key: CostValue,
         constraints: Constraints,
-        lower_bound: Option<CostValue>,
-    ) {
-        if self.prune {
-            if let (Some(lb), Some(incumbent)) = (lower_bound, self.incumbent) {
-                // Strictly-greater only: a partition whose bound ties the
-                // incumbent may hold the next result, so it stays eager.
-                if lb > incumbent {
-                    self.sequence += 1;
-                    self.nodes_deferred += 1;
-                    self.queue.push(QueueEntry {
-                        cost: lb,
-                        sequence: self.sequence,
-                        state: NodeState::Deferred,
-                        constraints,
-                    });
-                    return;
-                }
-            }
-        }
-        // Orbit sharing: when a sibling's orbit already solved this
-        // configuration, enqueue at its exact cost without re-optimizing.
-        // The dynamic program runs only if the entry ever reaches the
-        // front of the queue, so the emitted stream cannot change.
-        let mut share_key = None;
-        if let SymmetryMode::Share(share) = &mut self.symmetry {
-            share_key = share.key_of(&constraints);
-            if let Some(known) = share_key.as_ref().and_then(|k| share.get(k)) {
-                share.replays += 1;
-                self.sequence += 1;
-                self.queue.push(QueueEntry {
-                    cost: known,
-                    sequence: self.sequence,
-                    state: NodeState::Known,
-                    constraints,
-                });
+        solve: &mut S,
+    ) where
+        S: FnMut(&mut Scratch, Vec<Constraints>) -> Result<Solved, TaskPanic>,
+    {
+        self.nodes_explored += 1;
+        let solved = match solve(&mut self.scratch, vec![constraints]) {
+            Ok(solved) => solved,
+            Err(panic) => {
+                self.failed = Some(panic.message);
                 return;
             }
-        }
-        self.nodes_explored += 1;
-        let constrained = Constrained::new(cost, &constraints);
-        if let Some(best) = min_triangulation_in(pre, &constrained, &mut self.scratch) {
-            // Guard against a best solution that silently violates the
-            // constraints (line 12 of the algorithm): only non-empty
-            // partitions are enqueued.
-            if constraints.satisfied_by_graph(&best.graph) {
-                if let (SymmetryMode::Share(share), Some(key)) = (&mut self.symmetry, share_key) {
-                    share.put(key, best.cost);
+        };
+        for (constraints, best) in solved {
+            let Some(best) = best else { continue };
+            debug_assert!(
+                best.cost >= key,
+                "a queue key must not exceed the exact cost"
+            );
+            if let SymmetryMode::Share(share) = &mut self.symmetry {
+                if let Some(orbit_key) = share.key_of(&constraints) {
+                    share.put(orbit_key, best.cost);
                 }
-                self.sequence += 1;
-                self.queue.push(QueueEntry {
-                    cost: best.cost,
-                    sequence: self.sequence,
-                    state: NodeState::Solved(best),
-                    constraints,
-                });
             }
+            let exact = best.cost;
+            let state = NodeState::Solved(best);
+            self.queue
+                .reinsert(ticket, exact, Node { state, constraints });
         }
     }
 
-    fn expand<K: BagCost + ?Sized>(
+    fn expand<K, S>(
         &mut self,
         pre: &Preprocessed,
         cost: &K,
         seps_of_h: &[VertexSet],
         constraints: &Constraints,
         parent_cost: CostValue,
-    ) {
+        solve: &mut S,
+    ) where
+        K: BagCost + ?Sized,
+        S: FnMut(&mut Scratch, Vec<Constraints>) -> Result<Solved, TaskPanic>,
+    {
         // Minimal separators of the emitted triangulation H; those not
         // already forced define the sub-partitions.
         let new_seps: Vec<&VertexSet> = seps_of_h
@@ -450,6 +557,7 @@ impl RankedState {
         };
         let order: Vec<(usize, bool)> =
             plan.unwrap_or_else(|| (0..new_seps.len()).map(|i| (i, true)).collect());
+        let mut children = Vec::with_capacity(order.len());
         for pos in 0..order.len() {
             let (idx, kept) = order[pos];
             if !kept {
@@ -467,8 +575,82 @@ impl RankedState {
                     Some(prefix) => parent_cost.max(prefix),
                     None => parent_cost,
                 });
-            let child = Constraints::new(include, exclude);
-            self.push_partition(pre, cost, child, lb);
+            children.push((Constraints::new(include, exclude), lb));
+        }
+        self.enqueue(children, solve);
+    }
+
+    /// Queues child partitions, each with its optional lower bound, in
+    /// generation order. A child whose bound strictly exceeds the incumbent
+    /// is deferred, one whose orbit already has a recorded optimum is
+    /// queued at that exact cost, and the rest are solved as one batch;
+    /// empty partitions are dropped.
+    ///
+    /// Looking the whole batch up before solving any of it replays exactly
+    /// what solving one child at a time would: sibling `p` includes `p`
+    /// more separators than its parent, an automorphism preserves that
+    /// count, so no sibling can hit another sibling's record.
+    fn enqueue<S>(&mut self, children: Vec<(Constraints, Option<CostValue>)>, solve: &mut S)
+    where
+        S: FnMut(&mut Scratch, Vec<Constraints>) -> Result<Solved, TaskPanic>,
+    {
+        // Per child, in generation order: its queue key and node, or `None`
+        // while it waits for the batch.
+        let mut slots: Vec<Option<(CostValue, Node)>> = Vec::with_capacity(children.len());
+        // Per eager child: its slot and its orbit key, if sharing is on.
+        let mut eager_slots = Vec::new();
+        let mut batch = Vec::new();
+        for (constraints, lower_bound) in children {
+            // Strictly-greater only: a partition whose bound ties the
+            // incumbent may hold the next result, so it stays eager.
+            if let (Some(lb), Some(incumbent)) = (lower_bound, self.incumbent) {
+                if lb > incumbent {
+                    let state = NodeState::Deferred;
+                    slots.push(Some((lb, Node { state, constraints })));
+                    continue;
+                }
+            }
+            // Orbit sharing: when an orbit-mate of this configuration was
+            // already solved, enqueue at its exact cost without
+            // re-optimizing. The dynamic program runs only if the entry
+            // ever reaches the front of the queue, so the emitted stream
+            // cannot change.
+            let mut orbit_key = None;
+            if let SymmetryMode::Share(share) = &mut self.symmetry {
+                orbit_key = share.key_of(&constraints);
+                if let Some(known) = orbit_key.as_ref().and_then(|k| share.get(k)) {
+                    share.replays += 1;
+                    let state = NodeState::Known;
+                    slots.push(Some((known, Node { state, constraints })));
+                    continue;
+                }
+            }
+            eager_slots.push((slots.len(), orbit_key));
+            slots.push(None);
+            batch.push(constraints);
+        }
+        self.nodes_explored += batch.len();
+        let solved = match solve(&mut self.scratch, batch) {
+            Ok(solved) => solved,
+            Err(panic) => {
+                self.failed = Some(panic.message);
+                return;
+            }
+        };
+        for ((slot, orbit_key), (constraints, best)) in eager_slots.into_iter().zip(solved) {
+            let Some(best) = best else { continue };
+            if let (SymmetryMode::Share(share), Some(key)) = (&mut self.symmetry, orbit_key) {
+                share.put(key, best.cost);
+            }
+            let exact = best.cost;
+            let state = NodeState::Solved(best);
+            slots[slot] = Some((exact, Node { state, constraints }));
+        }
+        for (key, node) in slots.into_iter().flatten() {
+            if matches!(node.state, NodeState::Deferred) {
+                self.nodes_deferred += 1;
+            }
+            self.queue.push(key, node);
         }
     }
 }
@@ -867,6 +1049,87 @@ mod tests {
         // no more than the rank-r full result.
         for (r, rep) in reps.iter().enumerate() {
             assert!(rep.cost <= all[r].cost);
+        }
+    }
+
+    #[test]
+    fn ranked_queue_ties_pop_in_push_order_and_reinsert_in_place() {
+        let mut queue = RankedQueue::default();
+        queue.push(CostValue::from_usize(1), "a");
+        queue.push(CostValue::from_usize(1), "b");
+        queue.push(CostValue::ZERO, "placeholder");
+        queue.push(CostValue::from_usize(1), "c");
+        // The placeholder pops first on its lower bound; reinserted at its
+        // exact cost it ranks by its push position, between "b" and "c".
+        let (key, ticket, payload) = queue.pop().unwrap();
+        assert_eq!((key, payload), (CostValue::ZERO, "placeholder"));
+        queue.reinsert(ticket, CostValue::from_usize(1), "solved");
+        let order: Vec<_> = std::iter::from_fn(|| queue.pop().map(|(_, _, p)| p)).collect();
+        assert_eq!(order, ["a", "b", "solved", "c"]);
+        assert!(queue.is_empty());
+    }
+
+    /// Drains up to `take` results from `state`, solving every
+    /// re-optimization on a `threads`-worker pool.
+    fn drain_pooled(
+        pre: &Preprocessed,
+        cost: &(dyn BagCost + Sync),
+        threads: usize,
+        state: &mut RankedState,
+        take: usize,
+    ) -> Vec<RankedTriangulation> {
+        crate::pool::scoped(threads, |p| {
+            std::iter::from_fn(|| state.next_with_pool(pre, cost, Some(p)))
+                .take(take)
+                .collect()
+        })
+    }
+
+    #[test]
+    fn pooled_pruning_matches_inline_exactly() {
+        let c6 = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
+        let pre = Preprocessed::new(&c6);
+        let inline: Vec<_> = RankedEnumerator::new(&pre, &FillIn).collect();
+        for threads in [1, 4] {
+            for seed in [None, Some(CostValue::ZERO), Some(CostValue::from_usize(3))] {
+                let mut state = RankedState::new();
+                state.enable_pruning(seed);
+                let pooled = drain_pooled(&pre, &FillIn, threads, &mut state, usize::MAX);
+                assert_eq!(pooled.len(), inline.len(), "threads = {threads}");
+                for (a, b) in inline.iter().zip(&pooled) {
+                    assert_eq!(a.cost, b.cost);
+                    assert_eq!(a.triangulation, b.triangulation);
+                }
+                assert_eq!(state.duplicates_skipped(), 0);
+            }
+            // A tight seed defers work on a pooled top-3 prefix too.
+            let mut state = RankedState::new();
+            state.enable_pruning(Some(CostValue::ZERO));
+            let top3 = drain_pooled(&pre, &FillIn, threads, &mut state, 3);
+            assert!(state.nodes_pruned() > 0, "threads = {threads}");
+            assert_eq!(state.incumbent(), Some(top3[2].cost));
+        }
+    }
+
+    #[test]
+    fn pooled_modulo_symmetry_quotients_like_inline() {
+        let c6 = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
+        let pre = Preprocessed::new(&c6);
+        let ctx = OrbitContext::probe(&c6).unwrap();
+        let inline: Vec<_> = RankedEnumerator::new(&pre, &FillIn)
+            .with_modulo_symmetry(ctx.clone())
+            .collect();
+        assert_eq!(inline.len(), 3);
+        for threads in [1, 4] {
+            let mut state = RankedState::new();
+            state.enable_modulo_symmetry(ctx.clone());
+            let pooled = drain_pooled(&pre, &FillIn, threads, &mut state, usize::MAX);
+            assert!(state.orbits_merged() > 0, "threads = {threads}");
+            assert_eq!(pooled.len(), inline.len(), "threads = {threads}");
+            for (a, b) in inline.iter().zip(&pooled) {
+                assert_eq!(a.cost, b.cost);
+                assert_eq!(a.triangulation, b.triangulation);
+            }
         }
     }
 

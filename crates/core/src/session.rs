@@ -1,10 +1,10 @@
 //! The canonical front door to the enumeration stack: a fluent
 //! builder/session API with budgets, per-run statistics, and typed errors.
 //!
-//! Every algorithm of the crate — `RankedTriang`, its parallel variant,
-//! width-bounded `MinTriangB` preprocessing, diversity filtering, and the
-//! proper-tree-decomposition expansion — is reachable through one composable
-//! entry point:
+//! Every algorithm of the crate — `RankedTriang` (inline or on a worker
+//! pool), width-bounded `MinTriangB` preprocessing, diversity filtering, and
+//! the proper-tree-decomposition expansion — is reachable through one
+//! composable entry point:
 //!
 //! ```
 //! use mtr_core::session::{Enumerate, StopReason};
@@ -33,28 +33,24 @@
 //!   [`EnumerationError`] values instead of panics.
 //!
 //! The pre-existing constructors (`RankedEnumerator::new`,
-//! `ParallelRankedEnumerator::new`, `ProperDecompositionEnumerator::new`,
-//! `Diversified::new`) remain available as the low-level engine layer the
-//! session drives; new code should prefer [`Enumerate`].
+//! `ProperDecompositionEnumerator::new`, `Diversified::new`) and the
+//! [`RankedState`] engine underneath them remain available as the low-level
+//! layer the session drives; new code should prefer [`Enumerate`].
 
 use crate::cancel::CancelFlag;
 use crate::cost::{named_cost, BagCost, CostValue, DynBagCost, Width};
 use crate::diverse::{DiversityFilter, SimilarityMeasure};
 use crate::mintriang::Preprocessed;
-use crate::parallel::ParallelRankedEnumerator;
-use crate::pool::{self, resolve_threads};
+use crate::pool::{self, resolve_threads, WorkerPool};
 use crate::properdec::RankedDecomposition;
-use crate::ranked::{RankedEnumerator, RankedTriangulation};
+use crate::ranked::{RankedState, RankedTriangulation};
 use crate::symmetry::{OrbitContext, SymmetryPolicy};
 use mtr_chordal::{
     clique_trees_from_cliques, lb_triang_min_degree, maximal_cliques_chordal, mcs_m,
 };
 use mtr_graph::io::ParseError;
 use mtr_graph::Graph;
-use mtr_pmc::enumerate::{
-    potential_maximal_cliques, potential_maximal_cliques_bounded,
-    potential_maximal_cliques_bounded_with_deadline, potential_maximal_cliques_with_deadline,
-};
+use mtr_pmc::enumerate::potential_maximal_cliques_until;
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -622,35 +618,24 @@ impl<'a, K: BagCost + Sync + ?Sized> SessionConfig<'a, K> {
 /// of the crate. See the [module documentation](self) for an overview and
 /// the method docs for the individual knobs.
 pub struct Enumerate<'a, K: BagCost + Sync + ?Sized = Width> {
-    source: Source<'a>,
-    cost: CostHolder<'a, K>,
-    width_bound: Option<usize>,
-    threads: usize,
-    diversity: Option<(SimilarityMeasure, f64)>,
-    per_triangulation: Option<usize>,
-    max_results: Option<usize>,
-    deadline: Option<Duration>,
-    node_budget: Option<usize>,
-    cache: CachePolicy,
-    pruning: PruningPolicy,
-    symmetry: SymmetryPolicy,
-    cancel: Option<CancelFlag>,
+    config: SessionConfig<'a, K>,
 }
 
 impl<K: BagCost + Sync + ?Sized> std::fmt::Debug for Enumerate<'_, K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let c = &self.config;
         f.debug_struct("Enumerate")
-            .field("cost", &self.cost.get().name())
-            .field("width_bound", &self.width_bound)
-            .field("threads", &self.threads)
-            .field("diversity", &self.diversity)
-            .field("per_triangulation", &self.per_triangulation)
-            .field("max_results", &self.max_results)
-            .field("deadline", &self.deadline)
-            .field("node_budget", &self.node_budget)
-            .field("cache", &self.cache)
-            .field("pruning", &self.pruning)
-            .field("symmetry", &self.symmetry)
+            .field("cost", &c.cost().name())
+            .field("width_bound", &c.width_bound)
+            .field("threads", &c.threads)
+            .field("diversity", &c.diversity)
+            .field("per_triangulation", &c.per_triangulation)
+            .field("max_results", &c.max_results)
+            .field("deadline", &c.deadline)
+            .field("node_budget", &c.node_budget)
+            .field("cache", &c.cache)
+            .field("pruning", &c.pruning)
+            .field("symmetry", &c.symmetry)
             .finish_non_exhaustive()
     }
 }
@@ -672,19 +657,21 @@ impl<'a> Enumerate<'a, Width> {
 
     fn from_source(source: Source<'a>) -> Self {
         Enumerate {
-            source,
-            cost: CostHolder::Borrowed(&Width),
-            width_bound: None,
-            threads: 1,
-            diversity: None,
-            per_triangulation: None,
-            max_results: None,
-            deadline: None,
-            node_budget: None,
-            cache: CachePolicy::Off,
-            pruning: PruningPolicy::default(),
-            symmetry: SymmetryPolicy::default(),
-            cancel: None,
+            config: SessionConfig {
+                source,
+                cost: CostHolder::Borrowed(&Width),
+                width_bound: None,
+                threads: 1,
+                diversity: None,
+                per_triangulation: None,
+                max_results: None,
+                deadline: None,
+                node_budget: None,
+                cache: CachePolicy::Off,
+                pruning: PruningPolicy::default(),
+                symmetry: SymmetryPolicy::default(),
+                cancel: None,
+            },
         }
     }
 }
@@ -693,21 +680,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
     /// Ranks by `cost` instead of the default [`Width`]. Accepts any
     /// (possibly unsized) split-monotone bag cost, including trait objects.
     pub fn cost<K2: BagCost + Sync + ?Sized>(self, cost: &'a K2) -> Enumerate<'a, K2> {
-        Enumerate {
-            source: self.source,
-            cost: CostHolder::Borrowed(cost),
-            width_bound: self.width_bound,
-            threads: self.threads,
-            diversity: self.diversity,
-            per_triangulation: self.per_triangulation,
-            max_results: self.max_results,
-            deadline: self.deadline,
-            node_budget: self.node_budget,
-            cache: self.cache,
-            pruning: self.pruning,
-            symmetry: self.symmetry,
-            cancel: self.cancel,
-        }
+        self.with_cost(CostHolder::Borrowed(cost))
     }
 
     /// Ranks by the shipped cost registered under `name` (see
@@ -715,21 +688,29 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
     /// configuration-driven callers.
     pub fn cost_named(self, name: &str) -> Result<Enumerate<'a, DynBagCost>, EnumerationError> {
         let cost = named_cost(name).ok_or_else(|| EnumerationError::UnknownCost(name.into()))?;
-        Ok(Enumerate {
-            source: self.source,
-            cost: CostHolder::Owned(cost),
-            width_bound: self.width_bound,
-            threads: self.threads,
-            diversity: self.diversity,
-            per_triangulation: self.per_triangulation,
-            max_results: self.max_results,
-            deadline: self.deadline,
-            node_budget: self.node_budget,
-            cache: self.cache,
-            pruning: self.pruning,
-            symmetry: self.symmetry,
-            cancel: self.cancel,
-        })
+        Ok(self.with_cost(CostHolder::Owned(cost)))
+    }
+
+    /// Re-types the session for another cost, keeping every other knob.
+    fn with_cost<K2: BagCost + Sync + ?Sized>(self, cost: CostHolder<'a, K2>) -> Enumerate<'a, K2> {
+        let c = self.config;
+        Enumerate {
+            config: SessionConfig {
+                source: c.source,
+                cost,
+                width_bound: c.width_bound,
+                threads: c.threads,
+                diversity: c.diversity,
+                per_triangulation: c.per_triangulation,
+                max_results: c.max_results,
+                deadline: c.deadline,
+                node_budget: c.node_budget,
+                cache: c.cache,
+                pruning: c.pruning,
+                symmetry: c.symmetry,
+                cancel: c.cancel,
+            },
+        }
     }
 
     /// Restricts the enumeration to minimal triangulations of width at most
@@ -738,7 +719,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
     /// [`Enumerate::with`] yields
     /// [`EnumerationError::WidthBoundOnPreprocessed`].
     pub fn width_bound(mut self, bound: usize) -> Self {
-        self.width_bound = Some(bound);
+        self.config.width_bound = Some(bound);
         self
     }
 
@@ -750,7 +731,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
     /// the delay changes. [`EnumerationStats::effective_threads`] reports
     /// the resolved count.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.config.threads = threads;
         self
     }
 
@@ -758,7 +739,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
     /// is at most `threshold` under `measure` (see [`DiversityFilter`]).
     /// `threshold` must lie in `[0, 1]`.
     pub fn diverse(mut self, measure: SimilarityMeasure, threshold: f64) -> Self {
-        self.diversity = Some((measure, threshold));
+        self.config.diversity = Some((measure, threshold));
         self
     }
 
@@ -766,13 +747,13 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
     /// `per_triangulation` clique trees per minimal triangulation (`None` =
     /// all of them — beware, that can be exponential in the number of bags).
     pub fn proper_decompositions(mut self, per_triangulation: Option<usize>) -> Self {
-        self.per_triangulation = per_triangulation;
+        self.config.per_triangulation = per_triangulation;
         self
     }
 
     /// Budget: stop after `k` results with [`StopReason::MaxResults`].
     pub fn max_results(mut self, k: usize) -> Self {
-        self.max_results = Some(k);
+        self.config.max_results = Some(k);
         self
     }
 
@@ -786,7 +767,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
     /// The deadline is checked between results, so the session overshoots
     /// by at most one result delay.
     pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
+        self.config.deadline = Some(deadline);
         self
     }
 
@@ -795,7 +776,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
     /// constrained `MinTriang` re-optimization — the dominant unit of work).
     /// Checked between results, like the deadline.
     pub fn node_budget(mut self, nodes: usize) -> Self {
-        self.node_budget = Some(nodes);
+        self.config.node_budget = Some(nodes);
         self
     }
 
@@ -813,7 +794,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
     /// [`EnumerationStats::cache_bytes`] report what the cache did. On
     /// sessions that end up running the direct engine the policy is inert.
     pub fn cache(mut self, policy: CachePolicy) -> Self {
-        self.cache = policy;
+        self.config.cache = policy;
         self
     }
 
@@ -826,7 +807,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
     /// [`EnumerationStats::nodes_pruned`] and
     /// [`EnumerationStats::incumbent_cost`] report what pruning did.
     pub fn pruning(mut self, policy: PruningPolicy) -> Self {
-        self.pruning = policy;
+        self.config.pruning = policy;
         self
     }
 
@@ -843,7 +824,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
     /// [`EnumerationStats::subproblems_replayed`] and
     /// [`EnumerationStats::orbits_merged`] report what the machinery did.
     pub fn symmetry(mut self, policy: SymmetryPolicy) -> Self {
-        self.symmetry = policy;
+        self.config.symmetry = policy;
         self
     }
 
@@ -854,7 +835,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
     /// ranked prefix. This is how a long-lived service cancels a session
     /// whose client disconnected.
     pub fn cancel_flag(mut self, flag: CancelFlag) -> Self {
-        self.cancel = Some(flag);
+        self.config.cancel = Some(flag);
         self
     }
 
@@ -862,42 +843,14 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
     /// alternative engines (see the `SessionConfig` docs). Most callers
     /// never need this; they call [`Enumerate::run`] directly.
     pub fn into_config(self) -> SessionConfig<'a, K> {
-        SessionConfig {
-            source: self.source,
-            cost: self.cost,
-            width_bound: self.width_bound,
-            threads: self.threads,
-            diversity: self.diversity,
-            per_triangulation: self.per_triangulation,
-            max_results: self.max_results,
-            deadline: self.deadline,
-            node_budget: self.node_budget,
-            cache: self.cache,
-            pruning: self.pruning,
-            symmetry: self.symmetry,
-            cancel: self.cancel,
-        }
+        self.config
     }
 
     /// Rebuilds a builder from a [`SessionConfig`] — the inverse of
     /// [`Enumerate::into_config`], used by alternative engines to fall back
     /// to the direct session.
     pub fn from_config(config: SessionConfig<'a, K>) -> Self {
-        Enumerate {
-            source: config.source,
-            cost: config.cost,
-            width_bound: config.width_bound,
-            threads: config.threads,
-            diversity: config.diversity,
-            per_triangulation: config.per_triangulation,
-            max_results: config.max_results,
-            deadline: config.deadline,
-            node_budget: config.node_budget,
-            cache: config.cache,
-            pruning: config.pruning,
-            symmetry: config.symmetry,
-            cancel: config.cancel,
-        }
+        Enumerate { config }
     }
 
     /// Runs the session, collecting the ranked minimal triangulations.
@@ -920,11 +873,11 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
     /// *decompositions* here; [`Enumerate::proper_decompositions`] caps the
     /// clique trees taken per triangulation.
     pub fn run_decompositions(mut self) -> Result<DecompositionRun, EnumerationError> {
-        let per = self.per_triangulation.unwrap_or(usize::MAX);
-        let max = self.max_results;
+        let per = self.config.per_triangulation.unwrap_or(usize::MAX);
+        let max = self.config.max_results;
         // The triangulation-level drive must not stop at `max` triangulations:
         // the budget counts expanded decompositions instead.
-        self.max_results = None;
+        self.config.max_results = None;
         let mut results: Vec<RankedDecomposition> = Vec::new();
         let mut reached_max = max == Some(0);
         let report = self.drive(|t| {
@@ -969,7 +922,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
         F: FnMut(RankedTriangulation) -> ControlFlow<()>,
     {
         let started = Instant::now();
-        let Enumerate {
+        let SessionConfig {
             source,
             cost,
             width_bound,
@@ -984,7 +937,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
             pruning,
             symmetry,
             cancel,
-        } = self;
+        } = self.config;
 
         if let Some((_, threshold)) = diversity {
             if !(0.0..=1.0).contains(&threshold) {
@@ -1006,68 +959,34 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
                 p
             }
             Source::Graph(g) => {
-                let aborted_init = |started: &Instant| {
+                // The PMC enumeration is inherently incremental (prefix by
+                // prefix) and stops at the session deadline; the
+                // candidate-structure build behind `from_parts_threaded`
+                // fans out over the pool workers.
+                let deadline_at = deadline.and_then(|d| started.checked_add(d));
+                let max_size = width_bound.map(|b| b + 1);
+                let Ok(e) = potential_maximal_cliques_until(g, max_size, deadline_at) else {
                     let elapsed = started.elapsed();
                     let stats = EnumerationStats {
-                        cost: cost_name.clone(),
+                        cost: cost_name,
                         preprocessing: elapsed,
                         preprocessing_complete: false,
                         total: elapsed,
                         effective_threads: threads,
                         ..EnumerationStats::default()
                     };
-                    SessionReport {
+                    return Ok(SessionReport {
                         stats,
                         stop_reason: StopReason::DeadlineExceeded,
-                    }
+                    });
                 };
-                // The PMC enumeration is inherently incremental (prefix by
-                // prefix); the candidate-structure build behind
-                // `from_parts_threaded` fans out over the pool workers.
-                owned_pre = match (width_bound, deadline) {
-                    (Some(b), Some(d)) => {
-                        match potential_maximal_cliques_bounded_with_deadline(g, b + 1, d) {
-                            Ok(e) => Preprocessed::from_parts_threaded(
-                                g,
-                                e.minimal_separators,
-                                e.pmcs,
-                                Some(b),
-                                threads,
-                            ),
-                            Err(_) => return Ok(aborted_init(&started)),
-                        }
-                    }
-                    (Some(b), None) => {
-                        let e = potential_maximal_cliques_bounded(g, b + 1);
-                        Preprocessed::from_parts_threaded(
-                            g,
-                            e.minimal_separators,
-                            e.pmcs,
-                            Some(b),
-                            threads,
-                        )
-                    }
-                    (None, Some(d)) => match potential_maximal_cliques_with_deadline(g, d) {
-                        Ok(e) => Preprocessed::from_parts_threaded(
-                            g,
-                            e.minimal_separators,
-                            e.pmcs,
-                            None,
-                            threads,
-                        ),
-                        Err(_) => return Ok(aborted_init(&started)),
-                    },
-                    (None, None) => {
-                        let e = potential_maximal_cliques(g);
-                        Preprocessed::from_parts_threaded(
-                            g,
-                            e.minimal_separators,
-                            e.pmcs,
-                            None,
-                            threads,
-                        )
-                    }
-                };
+                owned_pre = Preprocessed::from_parts_threaded(
+                    g,
+                    e.minimal_separators,
+                    e.pmcs,
+                    width_bound,
+                    threads,
+                );
                 &owned_pre
             }
         };
@@ -1107,58 +1026,30 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
         session_metrics()
             .preprocess_ns
             .record(saturating_ns(stats.preprocessing));
-        let (stop_reason, engine_failure) = if threads > 1 {
-            // One pool for the whole session: workers (and their scratch)
-            // are spawned here and serve every expansion batch.
-            pool::scoped(threads, |p| {
-                let mut inner = ParallelRankedEnumerator::with_pool(pre, cost_ref, p);
-                if pruning.is_enabled() {
-                    inner = inner.with_pruning(incumbent);
-                }
-                if let Some(flag) = cancel.clone() {
-                    inner = inner.with_cancel(flag);
-                }
-                if let Some(ctx) = &orbit_ctx {
-                    inner = match symmetry {
-                        SymmetryPolicy::ModuloSymmetry => inner.with_modulo_symmetry(ctx.clone()),
-                        _ => inner.with_orbit_sharing(ctx.clone()),
-                    };
-                }
-                let mut engine: Engine<'_, '_, K> = Engine::Parallel(inner);
-                let stop_reason = drive_engine(
-                    &mut engine,
-                    filter,
-                    &mut stats,
-                    started,
-                    max_results,
-                    deadline,
-                    node_budget,
-                    cancel.as_ref(),
-                    on_result,
-                );
-                let pool_stats = p.stats();
-                stats.worker_tasks = pool_stats.worker_tasks;
-                stats.steals = pool_stats.steals;
-                // The parallel engine's scratch lives in the workers, so its
-                // arena savings are reported by the pool, not the engine.
-                stats.arena_bytes_reused += pool_stats.arena_bytes_reused;
-                (stop_reason, engine.failure())
-            })
-        } else {
-            let mut inner = RankedEnumerator::new(pre, cost_ref);
-            if pruning.is_enabled() {
-                inner = inner.with_pruning(incumbent);
+        let mut state = RankedState::new();
+        if pruning.is_enabled() {
+            state.enable_pruning(incumbent);
+        }
+        if let Some(flag) = cancel.clone() {
+            state.bind_cancel(flag);
+        }
+        if let Some(ctx) = orbit_ctx {
+            match symmetry {
+                SymmetryPolicy::ModuloSymmetry => state.enable_modulo_symmetry(ctx),
+                _ => state.enable_orbit_sharing(ctx),
             }
-            if let Some(flag) = cancel.clone() {
-                inner = inner.with_cancel(flag);
-            }
-            if let Some(ctx) = &orbit_ctx {
-                inner = match symmetry {
-                    SymmetryPolicy::ModuloSymmetry => inner.with_modulo_symmetry(ctx.clone()),
-                    _ => inner.with_orbit_sharing(ctx.clone()),
-                };
-            }
-            let mut engine: Engine<'_, '_, K> = Engine::Sequential(inner);
+        }
+        // One pool for the whole session. With more than one thread its
+        // workers (and their scratch) serve every expansion batch; a
+        // single-threaded session solves inline on the state's own scratch.
+        let (stop_reason, engine_failure) = pool::scoped(threads, |p| {
+            let pool = (threads > 1).then_some(p);
+            let mut engine = DirectEngine {
+                pre,
+                cost: cost_ref,
+                pool,
+                state,
+            };
             let stop_reason = drive_engine(
                 &mut engine,
                 filter,
@@ -1170,8 +1061,16 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
                 cancel.as_ref(),
                 on_result,
             );
+            if let Some(p) = pool {
+                let pool_stats = p.stats();
+                stats.worker_tasks = pool_stats.worker_tasks;
+                stats.steals = pool_stats.steals;
+                // Pooled re-optimizations draw on the workers' scratch, so
+                // their arena savings are reported by the pool.
+                stats.arena_bytes_reused += pool_stats.arena_bytes_reused;
+            }
             (stop_reason, engine.failure())
-        };
+        });
         if let Some(message) = engine_failure {
             // The engine went quiet because a pool task died, not because
             // the space was exhausted: fail the session, typed.
@@ -1182,11 +1081,11 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
 }
 
 /// The interface between the generic session loop and a result-producing
-/// engine. The direct engines ([`RankedEnumerator`],
-/// [`ParallelRankedEnumerator`]) implement it behind the scenes, and
-/// alternative engines (the factorized per-atom enumerator of
-/// `mtr-reduce`) implement it to reuse the *exact* budget, diversity, and
-/// statistics semantics of a session through [`drive_engine`].
+/// engine. The direct engine (a [`RankedState`], inline or on the session
+/// pool) implements it behind the scenes, and alternative engines (the
+/// factorized per-atom enumerator of `mtr-reduce`) implement it to reuse
+/// the *exact* budget, diversity, and statistics semantics of a session
+/// through [`drive_engine`].
 pub trait SessionEngine {
     /// Produces the next ranked result, or `None` when exhausted.
     fn next_result(&mut self) -> Option<RankedTriangulation>;
@@ -1331,85 +1230,56 @@ where
     stop_reason
 }
 
-/// The engine layer the session drives: either ranked enumerator, behind a
-/// uniform statistics interface.
-enum Engine<'e, 'p, K: BagCost + Sync + ?Sized> {
-    Sequential(RankedEnumerator<'e, K>),
-    Parallel(ParallelRankedEnumerator<'e, 'p, K>),
+/// The direct engine a session drives: one [`RankedState`] over the
+/// session's preprocessing, solving on the session pool when it has one.
+struct DirectEngine<'e, 'p, K: ?Sized> {
+    pre: &'e Preprocessed,
+    cost: &'e K,
+    pool: Option<WorkerPool<'e, 'p>>,
+    state: RankedState,
 }
 
-impl<K: BagCost + Sync + ?Sized> SessionEngine for Engine<'_, '_, K> {
+impl<K: BagCost + Sync + ?Sized> SessionEngine for DirectEngine<'_, '_, K> {
     fn next_result(&mut self) -> Option<RankedTriangulation> {
-        match self {
-            Engine::Sequential(e) => e.next(),
-            Engine::Parallel(e) => e.next(),
-        }
+        self.state.next_with_pool(self.pre, self.cost, self.pool)
     }
 
     fn queue_depth(&self) -> usize {
-        match self {
-            Engine::Sequential(e) => e.queue_depth(),
-            Engine::Parallel(e) => e.queue_depth(),
-        }
+        self.state.queue_depth()
     }
 
     fn nodes_explored(&self) -> usize {
-        match self {
-            Engine::Sequential(e) => e.nodes_explored(),
-            Engine::Parallel(e) => e.nodes_explored(),
-        }
+        self.state.nodes_explored()
     }
 
     fn duplicates_skipped(&self) -> usize {
-        match self {
-            Engine::Sequential(e) => e.duplicates_skipped(),
-            Engine::Parallel(e) => e.duplicates_skipped(),
-        }
+        self.state.duplicates_skipped()
     }
 
     fn nodes_pruned(&self) -> usize {
-        match self {
-            Engine::Sequential(e) => e.nodes_pruned(),
-            Engine::Parallel(e) => e.nodes_pruned(),
-        }
+        self.state.nodes_pruned()
     }
 
     fn incumbent_cost(&self) -> Option<CostValue> {
-        match self {
-            Engine::Sequential(e) => e.incumbent(),
-            Engine::Parallel(e) => e.incumbent(),
-        }
+        self.state.incumbent()
     }
 
     fn arena_bytes_reused(&self) -> usize {
-        match self {
-            Engine::Sequential(e) => e.arena_bytes_reused(),
-            // Reported by the worker pool (see the session's parallel path).
-            Engine::Parallel(_) => 0,
-        }
+        self.state.arena_bytes_reused()
     }
 
     fn orbit_replays(&self) -> usize {
-        match self {
-            Engine::Sequential(e) => e.orbit_replays(),
-            Engine::Parallel(e) => e.orbit_replays(),
-        }
+        self.state.orbit_replays()
     }
 
     fn orbits_merged(&self) -> usize {
-        match self {
-            Engine::Sequential(e) => e.orbits_merged(),
-            Engine::Parallel(e) => e.orbits_merged(),
-        }
+        self.state.orbits_merged()
     }
 
     fn failure(&self) -> Option<String> {
-        match self {
-            // The sequential engine runs inline: a panic there propagates
-            // on the calling thread and is the caller's to catch.
-            Engine::Sequential(_) => None,
-            Engine::Parallel(e) => e.failure().map(str::to_string),
-        }
+        // Inline, a panic propagates on the calling thread and is the
+        // caller's to catch; only a pooled batch can fail contained.
+        self.state.failure().map(str::to_string)
     }
 }
 

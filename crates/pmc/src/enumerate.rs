@@ -21,25 +21,23 @@
 //! The extra variants cost a constant factor and make the generation robust;
 //! completeness is additionally cross-validated against the brute-force
 //! enumeration by property tests over random graphs (see
-//! `tests/pmc_properties.rs` at the workspace root and the unit tests below).
+//! `tests/substrate_properties.rs` at the workspace root and the unit tests
+//! below).
 
 use crate::test::is_potential_maximal_clique;
 use mtr_graph::{Graph, VertexSet};
 use mtr_separators::enumerate::minimal_separators;
 use std::collections::HashSet;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Error returned by [`potential_maximal_cliques_with_deadline`] when the
-/// wall-clock budget is exhausted before the enumeration finishes.
+/// Error returned by [`potential_maximal_cliques_until`] when its deadline
+/// passes before the enumeration finishes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PmcDeadlineExceeded {
-    /// The budget that was exceeded.
-    pub budget: Duration,
-}
+pub struct PmcDeadlineExceeded;
 
 impl std::fmt::Display for PmcDeadlineExceeded {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PMC enumeration exceeded its {:?} budget", self.budget)
+        f.write_str("PMC enumeration exceeded its deadline")
     }
 }
 
@@ -58,18 +56,7 @@ pub struct PmcEnumeration {
 /// Enumerates all potential maximal cliques of `g`, along with its minimal
 /// separators.
 pub fn potential_maximal_cliques(g: &Graph) -> PmcEnumeration {
-    potential_maximal_cliques_impl(g, None, None).expect("no deadline was set")
-}
-
-/// Enumerates all potential maximal cliques of `g`, aborting with an error
-/// if the wall-clock `budget` runs out first. Used by the tractability
-/// experiments (Figure 5) where the paper classifies graphs by whether the
-/// PMC computation finishes within a time limit.
-pub fn potential_maximal_cliques_with_deadline(
-    g: &Graph,
-    budget: Duration,
-) -> Result<PmcEnumeration, PmcDeadlineExceeded> {
-    potential_maximal_cliques_impl(g, None, Some(budget))
+    potential_maximal_cliques_until(g, None, None).expect("no deadline was set")
 }
 
 /// Enumerates the potential maximal cliques of `g` of size at most
@@ -81,27 +68,22 @@ pub fn potential_maximal_cliques_with_deadline(
 /// `max_size = b + 1` bounds the work independently of the poly-MS
 /// assumption.
 pub fn potential_maximal_cliques_bounded(g: &Graph, max_size: usize) -> PmcEnumeration {
-    potential_maximal_cliques_impl(g, Some(max_size), None).expect("no deadline was set")
+    potential_maximal_cliques_until(g, Some(max_size), None).expect("no deadline was set")
 }
 
-/// The size-bounded enumeration of [`potential_maximal_cliques_bounded`]
-/// under the wall-clock budget of
-/// [`potential_maximal_cliques_with_deadline`] — the combination a
-/// deadline-budgeted width-bounded enumeration session needs.
-pub fn potential_maximal_cliques_bounded_with_deadline(
-    g: &Graph,
-    max_size: usize,
-    budget: Duration,
-) -> Result<PmcEnumeration, PmcDeadlineExceeded> {
-    potential_maximal_cliques_impl(g, Some(max_size), Some(budget))
-}
-
-fn potential_maximal_cliques_impl(
+/// The enumeration behind every entry point: PMCs of size at most
+/// `max_size` when one is given (see [`potential_maximal_cliques_bounded`]),
+/// aborting with [`PmcDeadlineExceeded`] once the wall clock reaches
+/// `deadline`. The deadline is checked before each prefix and every 256
+/// candidate tests. Deadline-budgeted sessions and the tractability
+/// experiments (Figure 5), which classify graphs by whether the PMC
+/// computation finishes within a time limit, call it directly.
+pub fn potential_maximal_cliques_until(
     g: &Graph,
     max_size: Option<usize>,
-    budget: Option<Duration>,
+    deadline: Option<Instant>,
 ) -> Result<PmcEnumeration, PmcDeadlineExceeded> {
-    let start = Instant::now();
+    let expired = || deadline.is_some_and(|at| Instant::now() >= at);
     let n = g.n();
     if n == 0 {
         return Ok(PmcEnumeration {
@@ -119,10 +101,8 @@ fn potential_maximal_cliques_impl(
     let mut cur_seps: Vec<VertexSet> = Vec::new();
 
     for i in 2..=n {
-        if let Some(budget) = budget {
-            if start.elapsed() > budget {
-                return Err(PmcDeadlineExceeded { budget });
-            }
+        if expired() {
+            return Err(PmcDeadlineExceeded);
         }
         let a = i - 1; // the newly introduced vertex
         let gi = g.induced_prefix(i);
@@ -191,12 +171,8 @@ fn potential_maximal_cliques_impl(
         let mut since_check = 0usize;
         for cand in candidates {
             since_check += 1;
-            if since_check.is_multiple_of(256) {
-                if let Some(budget) = budget {
-                    if start.elapsed() > budget {
-                        return Err(PmcDeadlineExceeded { budget });
-                    }
-                }
+            if since_check.is_multiple_of(256) && expired() {
+                return Err(PmcDeadlineExceeded);
             }
             if !keep_pmc(&cand) {
                 continue;

@@ -21,7 +21,7 @@ pub mod test;
 
 pub use brute::potential_maximal_cliques_bruteforce;
 pub use enumerate::{
-    potential_maximal_cliques, potential_maximal_cliques_bounded,
-    potential_maximal_cliques_with_deadline, PmcDeadlineExceeded, PmcEnumeration,
+    potential_maximal_cliques, potential_maximal_cliques_bounded, potential_maximal_cliques_until,
+    PmcDeadlineExceeded, PmcEnumeration,
 };
 pub use test::is_potential_maximal_clique;

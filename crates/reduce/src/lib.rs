@@ -160,7 +160,7 @@ mod tests {
             .unwrap();
         assert_eq!(chained.stats.effective_threads, 2);
         assert_eq!(costs(&sequential), costs(&chained));
-        // Single-atom fallback: threads flow to the direct parallel engine
+        // Single-atom fallback: threads flow to the direct engine's pool
         // instead of being silently dropped.
         let c6 = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
         let fallback = Enumerate::on(&c6)

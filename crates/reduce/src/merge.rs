@@ -47,12 +47,12 @@ use mtr_cache::{AtomKey, AtomStore, CacheEntry, CachedPrefix};
 use mtr_chordal::{maximal_cliques_chordal, minimal_separators_from_cliques};
 use mtr_core::cost::{AtomCombine, BagCost, CostValue};
 use mtr_core::pool::{Scratch, WorkerPool};
+use mtr_core::ranked::{RankedQueue, Ticket};
 use mtr_core::{
     heuristic_incumbent, CancelFlag, OrbitContext, Preprocessed, RankedState, RankedTriangulation,
 };
 use mtr_graph::{Graph, Vertex};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::HashSet;
 
 /// How many results beyond the immediately needed index a pooled stream
 /// pull fetches ahead — the bounded speculative prefetch. Small on purpose:
@@ -138,15 +138,15 @@ pub(crate) struct AtomStream {
     /// and seeding both go through it.
     key: Option<AtomKey>,
     /// Incumbent-bounded pruning for the stream's own Lawler–Murty search
-    /// (exact — the emitted stream is identical either way). Set before the
-    /// first pull; a lazily materialized engine picks it up too.
+    /// (exact — the emitted stream is identical either way). Set by
+    /// [`AtomStream::arm`] before the first pull; a lazily materialized
+    /// engine is armed the same way.
     prune: bool,
     /// Orbit-canonical sharing of constrained re-optimizations inside this
     /// stream's own search (exact — the emitted stream is identical either
     /// way). The automorphism probe runs against the *stream* graph, so
-    /// isomorphic-atom grouping and per-atom symmetry compose. Same arming
-    /// discipline as `prune`: set before the first pull, re-armed when a
-    /// lazy engine materializes.
+    /// isomorphic-atom grouping and per-atom symmetry compose. Armed like
+    /// `prune`.
     share_orbits: bool,
     /// Cooperative cancellation: when raised, [`AtomStream::ensure`] bails
     /// out *without* marking the stream exhausted, so a partial prefix is
@@ -228,31 +228,22 @@ impl AtomStream {
         self.cancel = Some(flag);
     }
 
-    /// Enables incumbent-bounded pruning on this stream's own enumeration,
-    /// seeded with a heuristic minimal triangulation of the stream graph.
-    /// Call before the first pull; seeded (lazy) streams arm their engine
-    /// when (and if) demand materializes it.
-    pub(crate) fn enable_pruning<K: BagCost + ?Sized>(
+    /// Arms this stream's own enumeration: incumbent-bounded pruning seeded
+    /// with a heuristic minimal triangulation of the stream graph, and
+    /// orbit-canonical subproblem sharing when that graph has a nontrivial
+    /// automorphism group. Call before the first pull; seeded (lazy)
+    /// streams arm their engine when (and if) demand materializes it.
+    pub(crate) fn arm<K: BagCost + ?Sized>(
         &mut self,
         cost: &K,
         width_bound: Option<usize>,
+        prune: bool,
+        share_orbits: bool,
     ) {
-        self.prune = true;
+        self.prune = prune;
+        self.share_orbits = share_orbits;
         if let AtomEngine::Ranked { pre, state, .. } = &mut self.engine {
-            state.enable_pruning(heuristic_incumbent(pre.graph(), cost, width_bound));
-        }
-    }
-
-    /// Enables orbit-canonical subproblem sharing on this stream's own
-    /// enumeration when the stream graph has a nontrivial automorphism
-    /// group. Call before the first pull; seeded (lazy) streams arm their
-    /// engine when (and if) demand materializes it.
-    pub(crate) fn enable_orbit_sharing(&mut self) {
-        self.share_orbits = true;
-        if let AtomEngine::Ranked { pre, state, .. } = &mut self.engine {
-            if let Some(ctx) = OrbitContext::probe(pre.graph()) {
-                state.enable_orbit_sharing(ctx);
-            }
+            **state = armed_state(pre, cost, width_bound, prune, share_orbits);
         }
     }
 
@@ -410,15 +401,7 @@ impl AtomStream {
                     Some(b) => Preprocessed::new_bounded(graph, *b),
                     None => Preprocessed::new(graph),
                 };
-                let mut state = RankedState::new();
-                if self.prune {
-                    state.enable_pruning(heuristic_incumbent(pre.graph(), cost, width_bound));
-                }
-                if self.share_orbits {
-                    if let Some(ctx) = OrbitContext::probe(pre.graph()) {
-                        state.enable_orbit_sharing(ctx);
-                    }
-                }
+                let state = armed_state(&pre, cost, width_bound, self.prune, self.share_orbits);
                 self.engine = AtomEngine::Ranked {
                     pre: Box::new(pre),
                     state: Box::new(state),
@@ -482,6 +465,27 @@ impl AtomStream {
     }
 }
 
+/// A fresh ranked state for a stream over `pre`, armed as
+/// [`AtomStream::arm`] asked.
+fn armed_state<K: BagCost + ?Sized>(
+    pre: &Preprocessed,
+    cost: &K,
+    width_bound: Option<usize>,
+    prune: bool,
+    share_orbits: bool,
+) -> RankedState {
+    let mut state = RankedState::new();
+    if prune {
+        state.enable_pruning(heuristic_incumbent(pre.graph(), cost, width_bound));
+    }
+    if share_orbits {
+        if let Some(ctx) = OrbitContext::probe(pre.graph()) {
+            state.enable_orbit_sharing(ctx);
+        }
+    }
+    state
+}
+
 /// How one atom of the decomposition maps onto its (possibly shared)
 /// stream: the group index plus the vertex translation used on emission.
 pub(crate) struct MemberBinding {
@@ -494,36 +498,13 @@ pub(crate) struct MemberBinding {
     pub emit_map: Vec<Vertex>,
 }
 
-/// One pending tuple of per-atom stream indices. `solved` entries carry
-/// their exact combined cost; deferred ones only an admissible lower bound
-/// (the cost of the tuple they were generated from), and have not demanded
-/// anything from the per-atom streams yet.
-struct TupleEntry {
-    cost: CostValue,
-    sequence: u64,
+/// One pending tuple of per-atom stream indices. Solved tuples are queued
+/// at their exact combined cost; deferred ones only at an admissible lower
+/// bound (the cost of the tuple they were generated from), and have not
+/// demanded anything from the per-atom streams yet.
+struct PendingTuple {
     tuple: Vec<u32>,
     solved: bool,
-}
-
-impl PartialEq for TupleEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cost == other.cost && self.sequence == other.sequence
-    }
-}
-impl Eq for TupleEntry {}
-impl PartialOrd for TupleEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TupleEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap semantics on a max-heap: cheapest cost, then oldest.
-        other
-            .cost
-            .cmp(&self.cost)
-            .then_with(|| other.sequence.cmp(&self.sequence))
-    }
 }
 
 /// The merged, globally ranked enumerator over the product of the per-atom
@@ -544,9 +525,8 @@ pub(crate) struct FactorizedEnumerator<'a, 'p, K: BagCost + Sync + ?Sized> {
     streams: Vec<Option<AtomStream>>,
     pool: Option<WorkerPool<'a, 'p>>,
     prefetch: usize,
-    heap: BinaryHeap<TupleEntry>,
+    queue: RankedQueue<PendingTuple>,
     seen: HashSet<Vec<u32>>,
-    sequence: u64,
     started: bool,
     prune: bool,
     incumbent: Option<CostValue>,
@@ -584,9 +564,8 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> FactorizedEnumerator<'a, 'p, K> {
             streams: streams.into_iter().map(Some).collect(),
             pool,
             prefetch,
-            heap: BinaryHeap::new(),
+            queue: RankedQueue::default(),
             seen: HashSet::new(),
-            sequence: 0,
             started: false,
             prune: false,
             incumbent: None,
@@ -612,7 +591,7 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> FactorizedEnumerator<'a, 'p, K> {
     /// Enables incumbent-bounded pruning of the product-space merge,
     /// optionally seeded with the cost of a heuristic triangulation of the
     /// whole graph. Successor tuples of a popped tuple that is already
-    /// costlier than the incumbent are deferred: they enter the heap on the
+    /// costlier than the incumbent are deferred: they enter the queue on the
     /// parent's cost (a valid lower bound — per-atom streams are
     /// nondecreasing and both combines are monotone) without demanding
     /// anything from the per-atom streams, and are only priced if the
@@ -623,7 +602,7 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> FactorizedEnumerator<'a, 'p, K> {
         self.incumbent = incumbent;
     }
 
-    /// Deferred work never paid for: heap tuples still unpriced plus the
+    /// Deferred work never paid for: queued tuples still unpriced plus the
     /// per-atom streams' own deferred re-optimizations.
     pub(crate) fn nodes_pruned(&self) -> usize {
         self.nodes_deferred
@@ -659,7 +638,7 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> FactorizedEnumerator<'a, 'p, K> {
     }
 
     pub(crate) fn queue_depth(&self) -> usize {
-        self.heap.len()
+        self.queue.len()
     }
 
     /// Lawler–Murty partitions explored across all streams, counting
@@ -780,42 +759,31 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> FactorizedEnumerator<'a, 'p, K> {
             return;
         }
         if let Some(cost) = self.combined_cost(&tuple) {
-            self.sequence += 1;
-            self.heap.push(TupleEntry {
-                cost,
-                sequence: self.sequence,
-                tuple,
-                solved: true,
-            });
+            let solved = true;
+            self.queue.push(cost, PendingTuple { tuple, solved });
         }
     }
 
-    /// Pushes `tuple` on its parent's cost alone, without demanding
-    /// anything from the per-atom streams. The sequence number is assigned
-    /// now (generation order), so if the tuple is later solved and survives
-    /// it ranks exactly where an eager push would have ranked it.
+    /// Queues `tuple` on its parent's cost alone, without demanding
+    /// anything from the per-atom streams. Its place in the tie order is
+    /// fixed now (generation order), so if the tuple is later solved and
+    /// survives it ranks exactly where an eager push would have ranked it.
     fn defer_tuple(&mut self, tuple: Vec<u32>, lower_bound: CostValue) {
         if !self.seen.insert(tuple.clone()) {
             return;
         }
-        self.sequence += 1;
         self.nodes_deferred += 1;
-        self.heap.push(TupleEntry {
-            cost: lower_bound,
-            sequence: self.sequence,
-            tuple,
-            solved: false,
-        });
+        let solved = false;
+        self.queue.push(lower_bound, PendingTuple { tuple, solved });
     }
 
-    /// Pays for a deferred tuple that reached the heap top: prices it
+    /// Pays for a deferred tuple that reached the queue front: prices it
     /// against the per-atom streams (pool-warming cold coordinates first)
-    /// and reinserts it with its exact cost and original sequence number.
+    /// and reinserts it at its exact cost in its original tie position.
     /// Dropped if some coordinate is past the end of its stream.
-    fn solve_deferred(&mut self, entry: TupleEntry) {
+    fn solve_deferred(&mut self, ticket: Ticket, lower_bound: CostValue, tuple: Vec<u32>) {
         self.nodes_deferred -= 1;
-        let wanted: Vec<(usize, usize)> = entry
-            .tuple
+        let wanted: Vec<(usize, usize)> = tuple
             .iter()
             .enumerate()
             .map(|(i, &j)| (i, j as usize))
@@ -824,24 +792,21 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> FactorizedEnumerator<'a, 'p, K> {
         if self.failed.is_some() {
             return;
         }
-        if let Some(cost) = self.combined_cost(&entry.tuple) {
+        if let Some(cost) = self.combined_cost(&tuple) {
             debug_assert!(
-                cost >= entry.cost,
+                cost >= lower_bound,
                 "deferred tuple lower bound was not admissible"
             );
-            self.heap.push(TupleEntry {
-                cost,
-                sequence: entry.sequence,
-                tuple: entry.tuple,
-                solved: true,
-            });
+            let solved = true;
+            self.queue
+                .reinsert(ticket, cost, PendingTuple { tuple, solved });
         }
     }
 
     /// Rebuilds the original-graph triangulation a tuple denotes.
-    fn materialize(&self, entry: &TupleEntry) -> RankedTriangulation {
+    fn materialize(&self, tuple: &[u32], key: CostValue) -> RankedTriangulation {
         let mut h = self.graph.clone();
-        for (i, &j) in entry.tuple.iter().enumerate() {
+        for (i, &j) in tuple.iter().enumerate() {
             let member = &self.members[i];
             for &(u, v) in &self.stream(member.group).cached[j as usize].fill {
                 h.add_edge(member.emit_map[u as usize], member.emit_map[v as usize]);
@@ -852,10 +817,10 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> FactorizedEnumerator<'a, 'p, K> {
         let cost = self
             .cost
             .cost_of_bags(self.graph, &self.graph.vertex_set(), &bags);
-        // The combined heap key must equal the true cost — that is exactly
+        // The combined queue key must equal the true cost — that is exactly
         // the contract of `AtomCombine` — otherwise the stream would not be
         // globally sorted.
-        debug_assert_eq!(cost, entry.cost, "atom_combine() contract violated");
+        debug_assert_eq!(cost, key, "atom_combine() contract violated");
         // H is chordal, so its minimal separators are the clique-tree
         // adhesions — a fraction of the cost of a separator enumeration,
         // which used to dominate the per-result delay of the merge.
@@ -896,24 +861,23 @@ impl<K: BagCost + Sync + ?Sized> Iterator for FactorizedEnumerator<'_, '_, K> {
             if self.failed.is_some() || self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
                 return None;
             }
-            let entry = self.heap.pop()?;
-            if !entry.solved {
+            let (key, ticket, PendingTuple { tuple, solved }) = self.queue.pop()?;
+            if !solved {
                 // A deferred tuple reached the top: its exact cost is now
                 // needed to decide the order, so pay for it and re-rank.
-                self.solve_deferred(entry);
+                self.solve_deferred(ticket, key, tuple);
                 continue;
             }
             // Every successor's lower bound is this tuple's cost (per-atom
             // streams are nondecreasing and both combines monotone), so
             // when that already exceeds the incumbent, defer all of them
             // without touching the streams.
-            let defer_children = self.prune && self.incumbent.is_some_and(|inc| entry.cost > inc);
+            let defer_children = self.prune && self.incumbent.is_some_and(|inc| key > inc);
             if !defer_children {
                 // Pool mode: warm every successor coordinate concurrently
-                // before the (sequential) heap pushes read the memoized
+                // before the (sequential) queue pushes read the memoized
                 // costs.
-                let wanted: Vec<(usize, usize)> = entry
-                    .tuple
+                let wanted: Vec<(usize, usize)> = tuple
                     .iter()
                     .enumerate()
                     .map(|(i, &j)| (i, j as usize + 1))
@@ -923,12 +887,12 @@ impl<K: BagCost + Sync + ?Sized> Iterator for FactorizedEnumerator<'_, '_, K> {
                     return None;
                 }
             }
-            let result = self.materialize(&entry);
-            for i in 0..entry.tuple.len() {
-                let mut successor = entry.tuple.clone();
+            let result = self.materialize(&tuple, key);
+            for i in 0..tuple.len() {
+                let mut successor = tuple.clone();
                 successor[i] += 1;
                 if defer_children {
-                    self.defer_tuple(successor, entry.cost);
+                    self.defer_tuple(successor, key);
                 } else {
                     self.push_tuple(successor);
                 }

@@ -41,7 +41,7 @@
 //! with the factorized engine active, the per-atom preprocessing and the
 //! per-atom ranked streams run on a shared work-stealing
 //! [`pool`] (atoms are independent subproblems); on every
-//! fallback the thread count flows through to the direct parallel engine.
+//! fallback the thread count flows through to the direct engine's pool.
 //! [`EnumerationStats::effective_threads`] reports what actually ran.
 //!
 //! # Atom caching
@@ -85,9 +85,7 @@ use mtr_core::session::{
 };
 use mtr_core::symmetry::SymmetryPolicy;
 use mtr_graph::Graph;
-use mtr_pmc::enumerate::{
-    potential_maximal_cliques_bounded_with_deadline, potential_maximal_cliques_with_deadline,
-};
+use mtr_pmc::enumerate::{potential_maximal_cliques_until, PmcDeadlineExceeded};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -258,8 +256,8 @@ impl<'a, K: BagCost + Sync + ?Sized> Reduced<'a, K> {
 
         // Decide whether the factorized engine applies; otherwise fall back
         // to the direct session, which also performs all the validation —
-        // and which honors `config.threads` through its own parallel
-        // engine, so the thread count is never dropped on a fallback.
+        // and which honors `config.threads` through its own worker pool,
+        // so the thread count is never dropped on a fallback.
         let combine = config.cost().atom_combine();
         let graph = config.graph();
         // Modulo-symmetry quotients by the automorphism group of the *whole*
@@ -421,40 +419,19 @@ impl StatsContext {
     }
 }
 
-/// One atom's preprocessing failed its deadline.
-struct AtomInitAborted;
-
 /// Builds one non-chordal group's cold ranked stream: its own (possibly
-/// width-bounded) `Preprocessed`, under whatever remains of the session
-/// deadline. A plain function (not a closure) so pool tasks can call it
-/// while borrowing only the stream's graph.
+/// width-bounded) `Preprocessed`, stopped at the session deadline. A plain
+/// function (not a closure) so pool tasks can call it while borrowing only
+/// the stream's graph.
 fn build_stream(
     graph: &Graph,
     key: Option<AtomKey>,
     width_bound: Option<usize>,
     deadline_at: Option<Instant>,
-) -> Result<AtomStream, AtomInitAborted> {
-    let remaining = match deadline_at {
-        Some(at) => match at.checked_duration_since(Instant::now()) {
-            Some(d) if d > Duration::ZERO => Some(d),
-            _ => return Err(AtomInitAborted),
-        },
-        None => None,
-    };
-    let pre = match (width_bound, remaining) {
-        (Some(b), Some(d)) => {
-            match potential_maximal_cliques_bounded_with_deadline(graph, b + 1, d) {
-                Ok(e) => Preprocessed::from_parts_bounded(graph, e.minimal_separators, e.pmcs, b),
-                Err(_) => return Err(AtomInitAborted),
-            }
-        }
-        (Some(b), None) => Preprocessed::new_bounded(graph, b),
-        (None, Some(d)) => match potential_maximal_cliques_with_deadline(graph, d) {
-            Ok(e) => Preprocessed::from_parts(graph, e.minimal_separators, e.pmcs),
-            Err(_) => return Err(AtomInitAborted),
-        },
-        (None, None) => Preprocessed::new(graph),
-    };
+) -> Result<AtomStream, PmcDeadlineExceeded> {
+    let e = potential_maximal_cliques_until(graph, width_bound.map(|b| b + 1), deadline_at)?;
+    let pre =
+        Preprocessed::from_parts_threaded(graph, e.minimal_separators, e.pmcs, width_bound, 1);
     Ok(AtomStream::cold(pre, key))
 }
 
@@ -529,7 +506,7 @@ where
             for (g, built) in built_streams {
                 match built {
                     Ok(stream) => slots[g] = Some(stream),
-                    Err(AtomInitAborted) => return Ok(aborted_init(&started)),
+                    Err(PmcDeadlineExceeded) => return Ok(aborted_init(&started)),
                 }
             }
         }
@@ -538,7 +515,7 @@ where
                 let spec = &specs[g];
                 match build_stream(&spec.graph, spec.key.clone(), width_bound, deadline_at) {
                     Ok(stream) => slots[g] = Some(stream),
-                    Err(AtomInitAborted) => return Ok(aborted_init(&started)),
+                    Err(PmcDeadlineExceeded) => return Ok(aborted_init(&started)),
                 }
             }
         }
@@ -551,22 +528,15 @@ where
     // Incumbent-bounded pruning, both per atom (each stream's own
     // Lawler–Murty search gets a heuristic seed for its atom graph) and
     // across the merge (a whole-graph heuristic seed bounds the product
-    // space before the first result is even emitted).
+    // space before the first result is even emitted). Per-atom symmetry:
+    // each stream graph gets its own automorphism probe (an atom often
+    // keeps local symmetry even when the whole graph has none). Exact — the
+    // merged stream is identical either way — and only sound for
+    // label-invariant costs, same gate as the direct engine.
     let prune = config.pruning.is_enabled();
-    if prune {
-        for stream in &mut streams {
-            stream.enable_pruning(config.cost(), width_bound);
-        }
-    }
-
-    // Per-atom symmetry: each stream graph gets its own automorphism probe
-    // (an atom often keeps local symmetry even when the whole graph has
-    // none). Exact — the merged stream is identical either way — and only
-    // sound for label-invariant costs, same gate as the direct engine.
-    if config.symmetry != SymmetryPolicy::Off && config.cost().label_invariant() {
-        for stream in &mut streams {
-            stream.enable_orbit_sharing();
-        }
+    let share_orbits = config.symmetry != SymmetryPolicy::Off && config.cost().label_invariant();
+    for stream in &mut streams {
+        stream.arm(config.cost(), width_bound, prune, share_orbits);
     }
 
     let mut engine = FactorizedEnumerator::new(

@@ -21,7 +21,7 @@ use crate::random::gnp;
 use mtr_core::cost::{BagCost, FillIn, Width};
 use mtr_core::{CkkEnumerator, Enumerate, StopReason};
 use mtr_graph::Graph;
-use mtr_pmc::enumerate::potential_maximal_cliques_with_deadline;
+use mtr_pmc::enumerate::potential_maximal_cliques_until;
 use mtr_separators::enumerate::minimal_separators_with_limits;
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
@@ -125,7 +125,7 @@ pub fn classify_graph(
         }
     };
     let pmc_start = Instant::now();
-    let pmc = potential_maximal_cliques_with_deadline(g, budget.pmc_time);
+    let pmc = potential_maximal_cliques_until(g, None, Some(pmc_start + budget.pmc_time));
     let pmc_time = pmc_start.elapsed();
     match pmc {
         Ok(enumeration) => (

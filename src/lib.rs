@@ -101,10 +101,11 @@
 //! ```
 //!
 //! The per-algorithm constructors (`RankedEnumerator::new`,
-//! `ParallelRankedEnumerator::new`, `ProperDecompositionEnumerator::new`,
-//! `Diversified::new`) are still exported as the engine layer the session
-//! drives — existing code keeps working — but new code should go through
-//! `Enumerate`.
+//! `ProperDecompositionEnumerator::new`, `Diversified::new`) and the one
+//! ranked engine underneath them, `RankedState` (inline, or on a worker pool
+//! through `RankedState::next_with_pool`), are still exported as the engine
+//! layer the session drives — existing code keeps working — but new code
+//! should go through `Enumerate`.
 //!
 //! See the `examples/` directory for end-to-end scenarios (join-query
 //! optimization, Bayesian inference, bounded-width sweeps) and the
@@ -138,10 +139,9 @@ pub mod prelude {
         all_triangulations_ranked, min_triangulation, resolve_threads, top_k_proper_decompositions,
         top_k_triangulations, CachePolicy, CancelFlag, CkkEnumerator, DecompositionRun,
         Diversified, DiversityFilter, Enumerate, EnumerationError, EnumerationRun,
-        EnumerationStats, LbTriangSampler, ParallelRankedEnumerator, PoolStats, Preprocessed,
-        ProperDecompositionEnumerator, PruningPolicy, RankedDecomposition, RankedEnumerator,
-        RankedTriangulation, SessionReport, SimilarityMeasure, StopReason, Triangulation,
-        WorkerPool,
+        EnumerationStats, LbTriangSampler, PoolStats, Preprocessed, ProperDecompositionEnumerator,
+        PruningPolicy, RankedDecomposition, RankedEnumerator, RankedState, RankedTriangulation,
+        SessionReport, SimilarityMeasure, StopReason, Triangulation, WorkerPool,
     };
     pub use mtr_graph::{CanonicalForm, CanonicalKey, Graph, Hypergraph, Vertex, VertexSet};
     pub use mtr_reduce::{decompose, Decomposition, EnumerateReduceExt, Reduced, ReductionLevel};

@@ -18,10 +18,11 @@ use common::{all_minimal_triangulations_exhaustive, arbitrary_graph, fill_key};
 use mtr_chordal::is_minimal_triangulation;
 use mtr_core::cost::{BagCost, CostValue, ExpBagSum, FillIn, WeightedWidth, Width, WidthThenFill};
 use mtr_core::{
-    CkkEnumerator, Diversified, DiversityFilter, Enumerate, ParallelRankedEnumerator, Preprocessed,
-    RankedEnumerator, SimilarityMeasure, StopReason,
+    CkkEnumerator, Diversified, DiversityFilter, Enumerate, Preprocessed, RankedEnumerator,
+    SimilarityMeasure, StopReason,
 };
 use mtr_graph::Graph;
+use mtr_workloads::structured::{grid, mycielski};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::time::Duration;
@@ -227,18 +228,14 @@ proptest! {
         prop_assert_eq!(built.stop_reason, StopReason::Exhausted);
         prop_assert_eq!(built.stats.duplicates_skipped, 0);
 
-        // Parallel variant: identical cost sequence, identical result set
-        // (tie order among equal costs may differ).
-        let direct_par: Vec<_> = ParallelRankedEnumerator::new(&pre, &FillIn, 3).collect();
+        // Pooled session: the same ranked stream as the inline enumerator,
+        // in order (ties included).
         let built_par = Enumerate::with(&pre).cost(&FillIn).threads(3).run().unwrap();
-        let direct_costs: Vec<_> = direct_par.iter().map(|r| r.cost).collect();
-        let built_costs: Vec<_> = built_par.results.iter().map(|r| r.cost).collect();
-        prop_assert_eq!(direct_costs, built_costs);
-        let mut direct_fills: Vec<_> = direct_par.iter().map(|r| fill_key(&g, &r.triangulation)).collect();
-        let mut built_fills: Vec<_> = built_par.results.iter().map(|r| fill_key(&g, &r.triangulation)).collect();
-        direct_fills.sort();
-        built_fills.sort();
-        prop_assert_eq!(direct_fills, built_fills);
+        prop_assert_eq!(built_par.results.len(), direct.len());
+        for (b, d) in built_par.results.iter().zip(&direct) {
+            prop_assert_eq!(b.cost, d.cost);
+            prop_assert_eq!(fill_key(&g, &b.triangulation), fill_key(&g, &d.triangulation));
+        }
 
         // Width-bounded preprocessing.
         let bound = 2usize;
@@ -362,4 +359,74 @@ fn ranked_prefix_quality_dominates_baseline() {
     ranked_widths.sort_unstable();
     baseline_widths.sort_unstable();
     assert_eq!(ranked_widths, baseline_widths);
+}
+
+/// Inline and pooled runs are one engine: a session solves its children
+/// inline at one thread and as pool batches above one, and either way it
+/// emits the same ordered fill sequence (ties included) and does exactly the
+/// same work. The counters are pinned, so a change to the Lawler core that
+/// shifts work between the two paths — or changes it on both — fails here.
+#[test]
+fn inline_and_pooled_runs_agree_exactly() {
+    // Two 6-cycles joined by a perfect matching.
+    let mut prism_edges: Vec<(u32, u32)> = Vec::new();
+    for i in 0..6u32 {
+        prism_edges.push((i, (i + 1) % 6));
+        prism_edges.push((6 + i, 6 + (i + 1) % 6));
+        prism_edges.push((i, 6 + i));
+    }
+    // (nodes_explored, subproblems_replayed, nodes_pruned, max_queue_depth)
+    // under width, then under fill-in.
+    type Counters = (usize, usize, usize, usize);
+    let cases: [(&str, Graph, Counters, Counters); 3] = [
+        ("grid(3,3)", grid(3, 3), (70, 0, 0, 38), (61, 2, 5, 30)),
+        ("mycielski(4)", mycielski(4), (71, 0, 3, 14), (65, 5, 3, 14)),
+        (
+            "6-prism",
+            Graph::from_edges(12, &prism_edges),
+            (98, 0, 0, 61),
+            (89, 0, 3, 48),
+        ),
+    ];
+    for (name, g, width_counters, fill_counters) in cases {
+        let costs: [(&(dyn BagCost + Sync), Counters); 2] =
+            [(&Width, width_counters), (&FillIn, fill_counters)];
+        for (cost, expected) in costs {
+            let mut inline_fills = None;
+            for threads in [1, 2, 4] {
+                let run = Enumerate::on(&g)
+                    .cost(cost)
+                    .threads(threads)
+                    .max_results(25)
+                    .run()
+                    .unwrap();
+                let s = &run.stats;
+                assert_eq!(
+                    (
+                        s.nodes_explored,
+                        s.subproblems_replayed,
+                        s.nodes_pruned,
+                        s.max_queue_depth
+                    ),
+                    expected,
+                    "{name}, {}, threads = {threads}",
+                    cost.name()
+                );
+                let fills: Vec<_> = run
+                    .results
+                    .iter()
+                    .map(|r| fill_key(&g, &r.triangulation))
+                    .collect();
+                match &inline_fills {
+                    None => inline_fills = Some(fills),
+                    Some(inline) => assert_eq!(
+                        &fills,
+                        inline,
+                        "{name}, {}, threads = {threads}",
+                        cost.name()
+                    ),
+                }
+            }
+        }
+    }
 }
