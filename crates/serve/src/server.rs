@@ -913,8 +913,14 @@ fn event_loop(listener: NetListener, shared: &Arc<Shared>, allow_remote_shutdown
             if conns.is_empty() && queues_empty && in_flight == 0 {
                 // Wake the admission worker and any runner still parked
                 // on their condvars so they observe the flag and exit.
+                // Each notify is sent under its lock, so a thread between
+                // its exit check and its wait cannot miss it.
+                let admission = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
                 shared.admission_cv.notify_all();
+                drop(admission);
+                let sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
                 shared.sched_cv.notify_all();
+                drop(sched);
                 return;
             }
         }
@@ -1257,7 +1263,13 @@ fn run_sessions(shared: &Arc<Shared>) {
                 if let Some(job) = sched.warm.pop_front().or_else(|| sched.cold.pop_front()) {
                     break job;
                 }
-                if shared.shutting_down.load(Ordering::SeqCst) {
+                // An empty queue is not enough to exit on: a session
+                // admitted just before the shutdown signal may still be
+                // with the admission worker, and would be stranded in the
+                // queue with no runner left. Exit once nothing is in flight.
+                if shared.shutting_down.load(Ordering::SeqCst)
+                    && shared.in_flight.load(Ordering::SeqCst) == 0
+                {
                     return;
                 }
                 sched = shared
