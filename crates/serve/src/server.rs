@@ -456,7 +456,8 @@ impl Shared {
 /// The watchdog thread: cancels any supervised session still running
 /// past its per-session deadline ([`ServerConfig::max_session_ms`]).
 /// Sleeps until the earliest registered deadline; parks on the condvar
-/// while nothing is supervised.
+/// while nothing is supervised. Like the session runners, it exits only
+/// once shutdown has begun and nothing is in flight.
 fn run_watchdog(shared: &Arc<Shared>) {
     let mut state = shared.watchdog.lock().unwrap_or_else(|e| e.into_inner());
     loop {
@@ -469,7 +470,13 @@ fn run_watchdog(shared: &Arc<Shared>) {
                 true
             }
         });
-        if shared.shutting_down.load(Ordering::SeqCst) && state.entries.is_empty() {
+        // An empty watch list is not enough to exit on during a drain: a
+        // runner may still pop a queued session and `watch` it, and that
+        // session must stay under the cap.
+        if shared.shutting_down.load(Ordering::SeqCst)
+            && state.entries.is_empty()
+            && shared.in_flight.load(Ordering::SeqCst) == 0
+        {
             return;
         }
         let next = state.entries.iter().map(|(_, at, _)| *at).min();
@@ -911,16 +918,19 @@ fn event_loop(listener: NetListener, shared: &Arc<Shared>, allow_remote_shutdown
                 last_drain_report = Some(Instant::now());
             }
             if conns.is_empty() && queues_empty && in_flight == 0 {
-                // Wake the admission worker and any runner still parked
-                // on their condvars so they observe the flag and exit.
-                // Each notify is sent under its lock, so a thread between
-                // its exit check and its wait cannot miss it.
+                // Wake the admission worker, any runner and the watchdog
+                // still parked on their condvars so they observe the flag
+                // and exit. Each notify is sent under its lock, so a thread
+                // between its exit check and its wait cannot miss it.
                 let admission = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
                 shared.admission_cv.notify_all();
                 drop(admission);
                 let sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
                 shared.sched_cv.notify_all();
                 drop(sched);
+                let watchdog = shared.watchdog.lock().unwrap_or_else(|e| e.into_inner());
+                shared.watchdog_cv.notify_all();
+                drop(watchdog);
                 return;
             }
         }

@@ -39,6 +39,7 @@ use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Serializes every fault-arming test: the registry is process-global,
 /// and an armed point would otherwise leak into a concurrent test's
@@ -343,6 +344,74 @@ fn watchdog_cancels_runaway_sessions() {
     assert_eq!(done.stop_reason, "exhausted");
 
     handle.shutdown();
+}
+
+/// The session cap holds through a graceful drain. With one runner, a
+/// second runaway session is still queued when shutdown begins; it must be
+/// cancelled at the cap like the first, so the drain finishes.
+#[test]
+fn watchdog_cancels_sessions_queued_during_drain() {
+    const TENANT: &str = "drain-watchdog";
+    let handle = serve_ephemeral(ServerConfig {
+        workers: 1,
+        max_session_ms: Some(100),
+        allow_remote_shutdown: false,
+        ..ServerConfig::default()
+    })
+    .expect("bind daemon");
+    let addr = handle.local_addr().expect("tcp daemon").to_string();
+
+    // Far too large to exhaust within the cap.
+    let big = ranked_triangulations::workloads::structured::mycielski(5);
+    let request = EnumerateRequest {
+        tenant: TENANT.into(),
+        ..request_for(&big, false, 1)
+    };
+    let clients: Vec<_> = (0..2)
+        .map(|_| {
+            let (addr, request) = (addr.clone(), request.clone());
+            std::thread::spawn(move || {
+                let mut client = Client::connect_tcp(&addr).expect("connect");
+                client.enumerate(&request).map(|(_, done)| done.stop_reason)
+            })
+        })
+        .collect();
+
+    // Signal shutdown only once the daemon has admitted both requests.
+    let mut observer = Client::connect_tcp(&addr).expect("connect");
+    let admitted_by = Instant::now() + Duration::from_secs(10);
+    loop {
+        let doc = observer.metrics().expect("metrics frame");
+        let admitted = doc
+            .get("tenants")
+            .and_then(|t| t.get(TENANT))
+            .and_then(|n| n.as_u64())
+            .unwrap_or(0);
+        if admitted >= 2 {
+            break;
+        }
+        assert!(Instant::now() < admitted_by, "requests were not admitted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(observer);
+
+    // A drain that strands a session never returns: bound the wait so the
+    // test fails instead of hanging.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("graceful shutdown must finish within 10 s");
+    for client in clients {
+        let stop_reason = client
+            .join()
+            .expect("client thread")
+            .expect("a watchdog cancel is a clean stop, not an error");
+        assert_eq!(stop_reason, "cancelled");
+    }
 }
 
 // ---------------------------------------------------------------------------
