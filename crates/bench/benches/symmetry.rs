@@ -1,25 +1,20 @@
-//! Ablation benchmarks for symmetry-aware search-space collapse, on
-//! instances with large automorphism groups (cycle C12, grid4x4, myciel4,
-//! and the decomposable star-of-cliques) plus a random control whose group
-//! is trivial (the aut-probe overhead must disappear into noise there).
+//! Benchmarks for enumeration modulo symmetry, on instances with large
+//! automorphism groups (cycle C12, grid4x4, myciel4, and the decomposable
+//! star-of-cliques) plus a random control whose group is trivial.
 //!
-//! Two questions, two row families:
-//!
-//! * **Probe/sharing overhead** — raw ranked-first-10 under
-//!   `SymmetryPolicy::Full` (the default) vs `Off`. Full mode emits the
-//!   identical stream; the difference is the one-time automorphism probe
-//!   plus the orbit-canonical bookkeeping.
 //! * **Quotient speedup** — "give me 10 *meaningfully different* results".
 //!   `modulo_distinct10` asks the engine (`--modulo-symmetry`,
 //!   `max_results(10)`), which drops orbit-duplicate children before their
 //!   eager re-optimization. `client_distinct10` is what a consumer must do
-//!   without it: stream the baseline enumeration and deduplicate fill sets
+//!   without it: stream the default enumeration and deduplicate fill sets
 //!   by automorphism orbit until 10 distinct orbits have been seen. Same
 //!   deliverable, so the ratio is the honest price of post-hoc dedup.
+//! * **Probe cost** — `symmetry_probe` times the automorphism probe that
+//!   modulo mode pays once per session.
 //!
-//! Each instance logs its discovered group order and the replayed/merged
-//! counters once, so the snapshot note can record how often the machinery
-//! actually fires.
+//! Each instance logs its discovered group order and the merged counter
+//! once, so the snapshot note can record how often the quotient actually
+//! fires.
 //!
 //! Snapshot with `MTR_BENCH_JSON=BENCH_symmetry.json cargo bench -p
 //! mtr-bench --bench symmetry`.
@@ -105,17 +100,6 @@ fn instances() -> Vec<(&'static str, Graph)> {
     ]
 }
 
-fn ranked_first_10(g: &Graph, symmetry: SymmetryPolicy) -> usize {
-    Enumerate::on(g)
-        .cost(&FillIn)
-        .max_results(10)
-        .symmetry(symmetry)
-        .run()
-        .expect("session is well-configured")
-        .results
-        .len()
-}
-
 /// Canonical representative of a fill set's orbit under `generators` —
 /// the client-side dedup a consumer needs to get "distinct up to
 /// symmetry" out of the baseline stream.
@@ -147,14 +131,13 @@ fn canonical_fill(generators: &[Vec<Vertex>], fill: &[(u32, u32)]) -> Vec<(u32, 
     best
 }
 
-/// Ten orbit-distinct results the hard way: stream the baseline
+/// Ten orbit-distinct results the hard way: stream the default
 /// enumeration and deduplicate client-side.
 fn client_distinct_10(g: &Graph) -> usize {
     let generators = g.automorphisms().generators().to_vec();
     let mut orbits: HashSet<Vec<(u32, u32)>> = HashSet::new();
     Enumerate::on(g)
         .cost(&FillIn)
-        .symmetry(SymmetryPolicy::Off)
         .drive(|r| {
             let fill = {
                 let mut f = g.fill_edges_of(&r.triangulation);
@@ -174,7 +157,14 @@ fn client_distinct_10(g: &Graph) -> usize {
 
 /// Ten orbit-distinct results the engine's way.
 fn modulo_distinct_10(g: &Graph) -> usize {
-    ranked_first_10(g, SymmetryPolicy::ModuloSymmetry)
+    Enumerate::on(g)
+        .cost(&FillIn)
+        .max_results(10)
+        .symmetry(SymmetryPolicy::ModuloSymmetry)
+        .run()
+        .expect("session is well-configured")
+        .results
+        .len()
 }
 
 fn bench_symmetry(c: &mut Criterion) {
@@ -184,7 +174,7 @@ fn bench_symmetry(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3));
     for (name, g) in instances() {
         // One diagnostic run per (instance, mode): group order and how much
-        // the orbit machinery fired, for the snapshot's note.
+        // the quotient fired, for the snapshot's note.
         for (mode, policy) in [
             ("full", SymmetryPolicy::Full),
             ("modulo", SymmetryPolicy::ModuloSymmetry),
@@ -196,28 +186,12 @@ fn bench_symmetry(c: &mut Criterion) {
                 .run()
                 .expect("session is well-configured");
             eprintln!(
-                "{name}/{mode}: |Aut|={} replayed={} merged={} results={} nodes_explored={}",
+                "{name}/{mode}: |Aut|={} merged={} results={} nodes_explored={}",
                 run.stats.symmetry_group_order,
-                run.stats.subproblems_replayed,
                 run.stats.orbits_merged,
                 run.results.len(),
                 run.stats.nodes_explored,
             );
-        }
-        // The trivial-group control's full/off gap is the ≤5% overhead
-        // criterion, and host jitter on a ~200 ms workload easily exceeds
-        // that — give its rows three times the samples so the medians
-        // converge.
-        if name == "gnp20_020" {
-            group
-                .sample_size(30)
-                .measurement_time(Duration::from_secs(9));
-        }
-        // Probe/sharing overhead rows: identical output, default vs off.
-        for (mode, policy) in [("full", SymmetryPolicy::Full), ("off", SymmetryPolicy::Off)] {
-            group.bench_with_input(BenchmarkId::new(mode, name), &g, |b, g| {
-                b.iter(|| ranked_first_10(g, policy))
-            });
         }
         // Quotient rows: same deliverable (10 orbit-distinct results),
         // engine quotient vs client-side dedup of the baseline stream.
@@ -231,10 +205,9 @@ fn bench_symmetry(c: &mut Criterion) {
     group.finish();
 
     // The probe in isolation, for the two instances where its relative
-    // cost is the question: the trivial-group control (the full/off gap
-    // there must be pure noise — this row shows the actual probe cost is
-    // orders of magnitude below it) and the star of cliques, whose tiny
-    // workload makes its huge-group probe the entire full/off gap.
+    // cost is the question: the trivial-group control, where the probe
+    // finds nothing, and the star of cliques, whose huge group makes the
+    // probe costly next to its tiny workload.
     let mut probe = c.benchmark_group("symmetry_probe");
     probe
         .sample_size(10)

@@ -23,9 +23,9 @@
 //!   engine and the factorized per-atom engine of `mtr-reduce` execute on;
 //! * [`diverse`] — diversity-aware filtering of the ranked stream (the
 //!   diversification question raised in the paper's conclusions);
-//! * [`symmetry`] — symmetry-aware search-space collapse: orbit-canonical
-//!   exact-cost sharing of constrained re-optimizations in full mode, and
-//!   enumeration modulo the automorphism group ([`SymmetryPolicy`]);
+//! * [`symmetry`] — enumeration modulo the automorphism group
+//!   ([`SymmetryPolicy::ModuloSymmetry`]): one cheapest representative per
+//!   orbit of minimal triangulations;
 //! * [`session`] — the canonical entry point: the [`Enumerate`]
 //!   builder/session API composing all of the above, with budgets
 //!   ([`StopReason`]), statistics ([`EnumerationStats`]) and typed errors

@@ -28,7 +28,7 @@ use crate::cancel::CancelFlag;
 use crate::cost::{BagCost, Constrained, Constraints, CostValue};
 use crate::mintriang::{min_triangulation_in, Preprocessed, Triangulation};
 use crate::pool::{Scratch, TaskPanic, WorkerPool};
-use crate::symmetry::{ModuloDedup, OrbitContext, OrbitShare, SymmetryMode};
+use crate::symmetry::{ModuloDedup, OrbitContext};
 use mtr_graph::{Graph, VertexSet};
 use mtr_separators::enumerate::minimal_separators;
 use std::cmp::Ordering;
@@ -69,11 +69,11 @@ impl RankedTriangulation {
 /// The Lawler–Murty priority queue: the cheapest entry pops first, and
 /// entries of equal cost pop in the order they were pushed.
 ///
-/// That tie rule keeps a ranked stream reproducible. Pruning and orbit
-/// sharing queue placeholders keyed by a lower bound or a replayed cost;
-/// when one reaches the front it is solved and put back with
-/// [`RankedQueue::reinsert`] under its *original* sequence number, so it
-/// ranks exactly where an eager push would have ranked it.
+/// That tie rule keeps a ranked stream reproducible. Pruning queues
+/// placeholders keyed by a lower bound; when one reaches the front it is
+/// solved and put back with [`RankedQueue::reinsert`] under its *original*
+/// sequence number, so it ranks exactly where an eager push would have
+/// ranked it.
 #[derive(Debug)]
 pub struct RankedQueue<P> {
     heap: BinaryHeap<Queued<P>>,
@@ -176,13 +176,6 @@ enum NodeState {
     /// key is an admissible lower bound on the partition's best cost. The
     /// node is solved only if it ever reaches the front of the queue.
     Deferred,
-    /// An orbit-equivalent subproblem already solved this partition's
-    /// optimum: the entry's key is that *exact* cost, replayed by orbit
-    /// sharing without re-running the dynamic program. The triangulation
-    /// itself is materialized only if the entry ever reaches the front of
-    /// the queue — the same discipline as [`NodeState::Deferred`], so the
-    /// emitted stream is unchanged.
-    Known,
 }
 
 /// A queued partition: how it is materialized plus the constraints
@@ -246,9 +239,8 @@ pub struct RankedState {
     /// `None` at its demand boundary (before popping the next partition),
     /// leaving the emitted sequence a valid ranked prefix.
     cancel: Option<CancelFlag>,
-    /// Symmetry machinery: orbit-canonical exact-cost sharing (full mode)
-    /// or orbit quotienting (modulo mode); see [`crate::symmetry`].
-    symmetry: SymmetryMode,
+    /// Orbit quotienting (modulo-symmetry mode); see [`crate::symmetry`].
+    modulo: Option<ModuloDedup>,
     /// First pool-task failure (a panicking cost function or an injected
     /// `pool.task` fault) seen by a pooled batch. Once set the state
     /// produces nothing more, and the session reports the failure as a
@@ -277,36 +269,19 @@ impl RankedState {
         self.cancel = Some(flag);
     }
 
-    /// Turns on orbit-canonical exact-cost sharing: a child partition whose
-    /// constraint configuration lands in an already-solved orbit is enqueued
-    /// at that exact cost without re-running the dynamic program. The
-    /// emitted stream is bit-for-bit identical to the unshared one (ties
-    /// included); only sound for label-invariant costs. Must be called
-    /// before the first [`RankedState::next`].
-    pub fn enable_orbit_sharing(&mut self, ctx: Arc<OrbitContext>) {
-        debug_assert!(!self.started, "symmetry must be configured up front");
-        self.symmetry = SymmetryMode::Share(OrbitShare::new(ctx));
-    }
-
     /// Switches the stream to one cheapest representative per
     /// automorphism-orbit of minimal triangulations, pruning orbit-duplicate
     /// branches during the search. Only sound for label-invariant costs.
     /// Must be called before the first [`RankedState::next`].
     pub fn enable_modulo_symmetry(&mut self, ctx: Arc<OrbitContext>) {
         debug_assert!(!self.started, "symmetry must be configured up front");
-        self.symmetry = SymmetryMode::Modulo(ModuloDedup::new(ctx));
-    }
-
-    /// Number of re-optimizations skipped so far by replaying an
-    /// orbit-mate's exact cost (full mode with sharing).
-    pub fn orbit_replays(&self) -> usize {
-        self.symmetry.orbit_replays()
+        self.modulo = Some(ModuloDedup::new(ctx));
     }
 
     /// Number of branches and results merged into their orbit
     /// representative so far (modulo-symmetry mode).
     pub fn orbits_merged(&self) -> usize {
-        self.symmetry.orbits_merged()
+        self.modulo.as_ref().map_or(0, |dedup| dedup.merged)
     }
 
     /// Number of partitions whose re-optimization is currently deferred by
@@ -377,12 +352,12 @@ impl RankedState {
     /// [`RankedState::next`] with an optional worker pool. With a pool, the
     /// children of each expansion are solved as one
     /// [`WorkerPool::run_batch`] (one task per child, each drawing its
-    /// scratch from its worker's arena), and a deferred or replayed
-    /// partition that reaches the front is solved as a one-task batch. The
-    /// stream and every work counter are those of the inline run. A task
-    /// that panics (or an injected `pool.task` fault) stops the state:
-    /// this and every later call return `None`, and
-    /// [`RankedState::failure`] reports the message.
+    /// scratch from its worker's arena), and a deferred partition that
+    /// reaches the front is solved as a one-task batch. The stream and
+    /// every work counter are those of the inline run. A task that panics
+    /// (or an injected `pool.task` fault) stops the state: this and every
+    /// later call return `None`, and [`RankedState::failure`] reports the
+    /// message.
     pub fn next_with_pool<'env, K: BagCost + Sync + ?Sized>(
         &mut self,
         pre: &'env Preprocessed,
@@ -428,17 +403,14 @@ impl RankedState {
             let (key, ticket, node) = self.queue.pop()?;
             let best = match node.state {
                 NodeState::Solved(best) => best,
-                placeholder => {
+                NodeState::Deferred => {
                     // A deferred partition (keyed by an admissible lower
-                    // bound) or an orbit replay (keyed by its exact cost)
-                    // reached the front of the queue: solve it now and
-                    // reinsert it at its exact cost with its *original*
+                    // bound) reached the front of the queue: solve it now
+                    // and reinsert it at its exact cost with its *original*
                     // sequence number. That reproduces the eager order
                     // exactly, ties included, because the key never exceeds
                     // the exact cost.
-                    if matches!(placeholder, NodeState::Deferred) {
-                        self.nodes_deferred -= 1;
-                    }
+                    self.nodes_deferred -= 1;
                     self.resolve(ticket, key, node.constraints, &mut solve);
                     continue;
                 }
@@ -447,10 +419,10 @@ impl RankedState {
             // Modulo-symmetry: a result orbit-equivalent to an earlier
             // emission is suppressed, but its partition is still expanded —
             // its children may hold orbit representatives of their own.
-            let orbit_new = match &mut self.symmetry {
-                SymmetryMode::Modulo(dedup) => dedup.admit_result(&fill),
-                _ => true,
-            };
+            let orbit_new = self
+                .modulo
+                .as_mut()
+                .is_none_or(|dedup| dedup.admit_result(&fill));
             let is_new = self.emitted_fills.insert(fill);
             // The minimal separators of H feed both the partition expansion
             // and the emitted result: compute them once and share.
@@ -486,9 +458,9 @@ impl RankedState {
         }
     }
 
-    /// Re-optimizes a deferred or replayed partition that reached the front
-    /// of the queue and, when it is non-empty, reinserts it at its exact
-    /// cost in its original tie position.
+    /// Re-optimizes a deferred partition that reached the front of the
+    /// queue and, when it is non-empty, reinserts it at its exact cost in
+    /// its original tie position.
     fn resolve<S>(
         &mut self,
         ticket: Ticket,
@@ -512,11 +484,6 @@ impl RankedState {
                 best.cost >= key,
                 "a queue key must not exceed the exact cost"
             );
-            if let SymmetryMode::Share(share) = &mut self.symmetry {
-                if let Some(orbit_key) = share.key_of(&constraints) {
-                    share.put(orbit_key, best.cost);
-                }
-            }
             let exact = best.cost;
             let state = NodeState::Solved(best);
             self.queue
@@ -551,10 +518,10 @@ impl RankedState {
         // — as possible; its prefixes still range over *all* earlier
         // separators, dropped or not, so kept cells keep their original
         // disjoint solution sets.
-        let plan = match &mut self.symmetry {
-            SymmetryMode::Modulo(dedup) => dedup.branch_plan(constraints, &new_seps),
-            _ => None,
-        };
+        let plan = self
+            .modulo
+            .as_mut()
+            .and_then(|dedup| dedup.branch_plan(constraints, &new_seps));
         let order: Vec<(usize, bool)> =
             plan.unwrap_or_else(|| (0..new_seps.len()).map(|i| (i, true)).collect());
         let mut children = Vec::with_capacity(order.len());
@@ -582,14 +549,8 @@ impl RankedState {
 
     /// Queues child partitions, each with its optional lower bound, in
     /// generation order. A child whose bound strictly exceeds the incumbent
-    /// is deferred, one whose orbit already has a recorded optimum is
-    /// queued at that exact cost, and the rest are solved as one batch;
-    /// empty partitions are dropped.
-    ///
-    /// Looking the whole batch up before solving any of it replays exactly
-    /// what solving one child at a time would: sibling `p` includes `p`
-    /// more separators than its parent, an automorphism preserves that
-    /// count, so no sibling can hit another sibling's record.
+    /// is deferred, and the rest are solved as one batch; empty partitions
+    /// are dropped.
     fn enqueue<S>(&mut self, children: Vec<(Constraints, Option<CostValue>)>, solve: &mut S)
     where
         S: FnMut(&mut Scratch, Vec<Constraints>) -> Result<Solved, TaskPanic>,
@@ -597,7 +558,7 @@ impl RankedState {
         // Per child, in generation order: its queue key and node, or `None`
         // while it waits for the batch.
         let mut slots: Vec<Option<(CostValue, Node)>> = Vec::with_capacity(children.len());
-        // Per eager child: its slot and its orbit key, if sharing is on.
+        // The slot of each eager child.
         let mut eager_slots = Vec::new();
         let mut batch = Vec::new();
         for (constraints, lower_bound) in children {
@@ -610,22 +571,7 @@ impl RankedState {
                     continue;
                 }
             }
-            // Orbit sharing: when an orbit-mate of this configuration was
-            // already solved, enqueue at its exact cost without
-            // re-optimizing. The dynamic program runs only if the entry
-            // ever reaches the front of the queue, so the emitted stream
-            // cannot change.
-            let mut orbit_key = None;
-            if let SymmetryMode::Share(share) = &mut self.symmetry {
-                orbit_key = share.key_of(&constraints);
-                if let Some(known) = orbit_key.as_ref().and_then(|k| share.get(k)) {
-                    share.replays += 1;
-                    let state = NodeState::Known;
-                    slots.push(Some((known, Node { state, constraints })));
-                    continue;
-                }
-            }
-            eager_slots.push((slots.len(), orbit_key));
+            eager_slots.push(slots.len());
             slots.push(None);
             batch.push(constraints);
         }
@@ -637,11 +583,8 @@ impl RankedState {
                 return;
             }
         };
-        for ((slot, orbit_key), (constraints, best)) in eager_slots.into_iter().zip(solved) {
+        for (slot, (constraints, best)) in eager_slots.into_iter().zip(solved) {
             let Some(best) = best else { continue };
-            if let (SymmetryMode::Share(share), Some(key)) = (&mut self.symmetry, orbit_key) {
-                share.put(key, best.cost);
-            }
             let exact = best.cost;
             let state = NodeState::Solved(best);
             slots[slot] = Some((exact, Node { state, constraints }));
@@ -689,24 +632,11 @@ impl<'a, K: BagCost + ?Sized> RankedEnumerator<'a, K> {
         self
     }
 
-    /// Turns on orbit-canonical exact-cost sharing; see
-    /// [`RankedState::enable_orbit_sharing`].
-    pub fn with_orbit_sharing(mut self, ctx: Arc<OrbitContext>) -> Self {
-        self.state.enable_orbit_sharing(ctx);
-        self
-    }
-
     /// Quotients the stream by the automorphism group; see
     /// [`RankedState::enable_modulo_symmetry`].
     pub fn with_modulo_symmetry(mut self, ctx: Arc<OrbitContext>) -> Self {
         self.state.enable_modulo_symmetry(ctx);
         self
-    }
-
-    /// Number of re-optimizations skipped by orbit replay; see
-    /// [`RankedState::orbit_replays`].
-    pub fn orbit_replays(&self) -> usize {
-        self.state.orbit_replays()
     }
 
     /// Number of branches/results merged into their orbit representative;
@@ -945,89 +875,6 @@ mod tests {
             plain.nodes_explored()
         );
         assert_eq!(pruned.incumbent(), Some(first.cost));
-    }
-
-    #[test]
-    fn orbit_sharing_matches_plain_exactly() {
-        let c6 = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let pre = Preprocessed::new(&c6);
-        let ctx = OrbitContext::probe(&c6).expect("C6 has a dihedral group");
-        for cost in [&Width as &dyn BagCost, &FillIn, &WidthThenFill] {
-            let mut plain = RankedEnumerator::new(&pre, cost);
-            let plain_results: Vec<_> = plain.by_ref().collect();
-            let mut shared = RankedEnumerator::new(&pre, cost).with_orbit_sharing(ctx.clone());
-            let shared_results: Vec<_> = shared.by_ref().collect();
-            assert_eq!(shared_results.len(), plain_results.len(), "{}", cost.name());
-            for (a, b) in plain_results.iter().zip(&shared_results) {
-                assert_eq!(a.cost, b.cost, "{}", cost.name());
-                assert_eq!(a.triangulation, b.triangulation, "{}", cost.name());
-            }
-            assert_eq!(
-                shared.nodes_pruned(),
-                0,
-                "sharing must not count as pruning"
-            );
-        }
-    }
-
-    #[test]
-    fn orbit_sharing_replays_on_grid() {
-        // The 3×3 grid (dihedral group of order 8) generates cousin
-        // partitions with orbit-equivalent constraint configurations; the
-        // replayed ones skip their eager re-optimization, which shows up as
-        // fewer explored nodes under top-k demand.
-        let mut edges = vec![];
-        let idx = |r: u32, c: u32| r * 3 + c;
-        for r in 0..3u32 {
-            for c in 0..3u32 {
-                if c + 1 < 3 {
-                    edges.push((idx(r, c), idx(r, c + 1)));
-                }
-                if r + 1 < 3 {
-                    edges.push((idx(r, c), idx(r + 1, c)));
-                }
-            }
-        }
-        let grid = Graph::from_edges(9, &edges);
-        let pre = Preprocessed::new(&grid);
-        let ctx = OrbitContext::probe(&grid).expect("grid3 has a dihedral group");
-        assert_eq!(ctx.group_order(), 8);
-        let mut plain = RankedEnumerator::new(&pre, &FillIn);
-        let plain_top: Vec<_> = plain.by_ref().take(10).collect();
-        let mut shared = RankedEnumerator::new(&pre, &FillIn).with_orbit_sharing(ctx);
-        let shared_top: Vec<_> = shared.by_ref().take(10).collect();
-        assert_eq!(plain_top.len(), shared_top.len());
-        for (a, b) in plain_top.iter().zip(&shared_top) {
-            assert_eq!(a.cost, b.cost);
-            assert_eq!(a.triangulation, b.triangulation);
-        }
-        assert!(
-            shared.orbit_replays() > 0,
-            "grid cousins must hit shared orbits"
-        );
-        assert!(
-            shared.nodes_explored() < plain.nodes_explored(),
-            "replayed partitions must skip their eager re-optimization ({} vs {})",
-            shared.nodes_explored(),
-            plain.nodes_explored()
-        );
-    }
-
-    #[test]
-    fn orbit_sharing_composes_with_pruning() {
-        let c6 = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let pre = Preprocessed::new(&c6);
-        let ctx = OrbitContext::probe(&c6).unwrap();
-        let plain: Vec<_> = RankedEnumerator::new(&pre, &FillIn).collect();
-        let both: Vec<_> = RankedEnumerator::new(&pre, &FillIn)
-            .with_pruning(Some(CostValue::ZERO))
-            .with_orbit_sharing(ctx)
-            .collect();
-        assert_eq!(plain.len(), both.len());
-        for (a, b) in plain.iter().zip(&both) {
-            assert_eq!(a.cost, b.cost);
-            assert_eq!(a.triangulation, b.triangulation);
-        }
     }
 
     #[test]

@@ -61,7 +61,6 @@ use std::time::{Duration, Instant};
 struct SessionMetrics {
     sessions: mtr_obs::Counter,
     results: mtr_obs::Counter,
-    orbit_replays: mtr_obs::Counter,
     nodes_pruned: mtr_obs::Counter,
     preprocess_ns: mtr_obs::Histogram,
     advance_ns: mtr_obs::Histogram,
@@ -73,7 +72,6 @@ fn session_metrics() -> &'static SessionMetrics {
     METRICS.get_or_init(|| SessionMetrics {
         sessions: mtr_obs::counter("core.session.sessions"),
         results: mtr_obs::counter("core.session.results"),
-        orbit_replays: mtr_obs::counter("core.session.orbit_replays"),
         nodes_pruned: mtr_obs::counter("core.session.nodes_pruned"),
         preprocess_ns: mtr_obs::histogram("core.session.preprocess_ns"),
         advance_ns: mtr_obs::histogram("core.session.advance_ns"),
@@ -398,15 +396,17 @@ pub struct EnumerationStats {
     pub arena_bytes_reused: usize,
     /// Order of the *discovered* automorphism group of the input graph
     /// (a subgroup of the full group when the canonical search truncated).
-    /// `1` when the group is trivial or the probe was skipped
-    /// ([`SymmetryPolicy::Off`], label-dependent cost); `0` when the
-    /// session never reached the probe (aborted preprocessing).
+    /// Only [`SymmetryPolicy::ModuloSymmetry`] with a label-invariant cost
+    /// probes the group; `1` when it did not run or the group is trivial,
+    /// and `0` when the session never reached the probe (aborted
+    /// preprocessing).
     pub symmetry_group_order: u128,
     /// Branches dropped and results suppressed as orbit duplicates in
     /// [`SymmetryPolicy::ModuloSymmetry`] mode. Zero otherwise.
     pub orbits_merged: usize,
-    /// Constrained re-optimizations enqueued at an orbit-mate's exact cost
-    /// instead of being re-run (full mode with a non-trivial group).
+    /// Always `0`: no engine replays a subproblem's cost. Kept so that
+    /// readers of the `symmetry` object of [`EnumerationStats::to_json`]
+    /// find the key they read.
     pub subproblems_replayed: usize,
 }
 
@@ -812,17 +812,14 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
     }
 
     /// Symmetry policy (see [`SymmetryPolicy`]). The default,
-    /// [`SymmetryPolicy::Full`], probes the automorphism group once per
-    /// session (for label-invariant costs) and shares exact costs across
-    /// orbit-equivalent subproblems — the emitted stream is unchanged, bit
-    /// for bit. [`SymmetryPolicy::ModuloSymmetry`] quotients the stream to
-    /// one cheapest representative per orbit of minimal triangulations
-    /// (`mtr --modulo-symmetry`); [`SymmetryPolicy::Off`] skips the probe
-    /// entirely.
+    /// [`SymmetryPolicy::Full`], enumerates every minimal triangulation and
+    /// runs no automorphism probe. [`SymmetryPolicy::ModuloSymmetry`]
+    /// probes the automorphism group once per session (for label-invariant
+    /// costs) and quotients the stream to one cheapest representative per
+    /// orbit of minimal triangulations (`mtr --modulo-symmetry`).
     ///
-    /// [`EnumerationStats::symmetry_group_order`],
-    /// [`EnumerationStats::subproblems_replayed`] and
-    /// [`EnumerationStats::orbits_merged`] report what the machinery did.
+    /// [`EnumerationStats::symmetry_group_order`] and
+    /// [`EnumerationStats::orbits_merged`] report what the quotient did.
     pub fn symmetry(mut self, policy: SymmetryPolicy) -> Self {
         self.config.symmetry = policy;
         self
@@ -1001,15 +998,12 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
             PruningPolicy::Incumbent => heuristic_incumbent(pre.graph(), cost_ref, width_bound),
             PruningPolicy::Off => None,
         };
-        // Probe the automorphism group once per session. Skipped entirely
-        // for SymmetryPolicy::Off and for label-dependent costs (where an
-        // automorphism need not preserve the ranking); a trivial group
-        // probes to `None` and the engines run exactly as before.
-        let orbit_ctx = if symmetry != SymmetryPolicy::Off && cost_ref.label_invariant() {
-            OrbitContext::probe(pre.graph())
-        } else {
-            None
-        };
+        // Only modulo symmetry probes the automorphism group, once per
+        // session, and only for label-invariant costs (an automorphism need
+        // not preserve a label-dependent ranking). A trivial group probes
+        // to `None` and the stream is the full one.
+        let modulo = symmetry == SymmetryPolicy::ModuloSymmetry && cost_ref.label_invariant();
+        let orbit_ctx = modulo.then(|| OrbitContext::probe(pre.graph())).flatten();
 
         let mut stats = EnumerationStats {
             cost: cost_name,
@@ -1034,10 +1028,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
             state.bind_cancel(flag);
         }
         if let Some(ctx) = orbit_ctx {
-            match symmetry {
-                SymmetryPolicy::ModuloSymmetry => state.enable_modulo_symmetry(ctx),
-                _ => state.enable_orbit_sharing(ctx),
-            }
+            state.enable_modulo_symmetry(ctx);
         }
         // One pool for the whole session. With more than one thread its
         // workers (and their scratch) serve every expansion batch; a
@@ -1109,11 +1100,6 @@ pub trait SessionEngine {
     /// (engines whose scratch lives in a worker pool report `0` here; the
     /// session adds the pool's figure).
     fn arena_bytes_reused(&self) -> usize {
-        0
-    }
-    /// Re-optimizations the engine replayed from an orbit-mate's exact
-    /// cost (`0` for engines without orbit sharing).
-    fn orbit_replays(&self) -> usize {
         0
     }
     /// Branches/results the engine merged into their orbit representative
@@ -1217,9 +1203,7 @@ where
         .filter(|c| c.is_finite())
         .map(|c| c.value());
     stats.arena_bytes_reused = engine.arena_bytes_reused();
-    stats.subproblems_replayed = engine.orbit_replays();
     stats.orbits_merged = engine.orbits_merged();
-    metrics.orbit_replays.add(stats.subproblems_replayed as u64);
     metrics.nodes_pruned.add(stats.nodes_pruned as u64);
     stats.total = started.elapsed();
     if emit_span.is_active() {
@@ -1266,10 +1250,6 @@ impl<K: BagCost + Sync + ?Sized> SessionEngine for DirectEngine<'_, '_, K> {
 
     fn arena_bytes_reused(&self) -> usize {
         self.state.arena_bytes_reused()
-    }
-
-    fn orbit_replays(&self) -> usize {
-        self.state.orbit_replays()
     }
 
     fn orbits_merged(&self) -> usize {

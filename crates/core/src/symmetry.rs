@@ -1,54 +1,44 @@
-//! Symmetry-aware search-space collapse for the ranked enumeration.
+//! Enumeration modulo the automorphism group of the input graph.
 //!
-//! The Lawler–Murty search re-optimizes one constrained subproblem per
-//! partition. When the input graph has non-trivial automorphisms, many of
-//! those subproblems are isomorphic: an automorphism `σ` maps the
-//! partition constrained by `(I, X)` bijectively onto the partition
-//! constrained by `(σI, σX)`, preserving every label-invariant cost
-//! ([`crate::BagCost::label_invariant`]). This module exploits that in two
-//! ways, selected by [`SymmetryPolicy`]:
+//! An automorphism `σ` of the input maps the Lawler–Murty partition
+//! constrained by `(I, X)` bijectively onto the partition constrained by
+//! `(σI, σX)`, preserving every label-invariant cost
+//! ([`crate::BagCost::label_invariant`]). Under
+//! [`SymmetryPolicy::ModuloSymmetry`] the stream is quotiented by pruning
+//! branch generation: when a node is expanded, its branch separators are
+//! grouped into orbits under the *stabilizer* of the node's committed
+//! constraints, and each orbit spawns one child. Dropping the cell of
+//! `S_j = σ(S_i)` (with `i < j` and `σ` fixing both constraint families) is
+//! sound because any solution `T` of that cell maps to `σ⁻¹T` — same cost,
+//! same orbit — which avoids `S_i` and therefore lives in a cell of index
+//! `≤ i`; descending induction covers chains of drops, so the kept subtrees
+//! stay orbit-complete. A result whose fill-edge set is orbit-equivalent to
+//! an earlier emission is also suppressed (orbit-mates can still surface
+//! inside one kept cell). The output is one cheapest representative per
+//! automorphism-orbit of minimal triangulations.
 //!
-//! * **Full mode with orbit sharing** — subproblems are keyed by the
-//!   canonical (lexicographically minimal) representative of their
-//!   constraint configuration's orbit. When a sibling partition maps into
-//!   an orbit whose optimum is already known, the engine enqueues it at
-//!   that *exact* cost without re-running the dynamic program; the DP only
-//!   runs if the partition ever reaches the front of the queue — the same
-//!   deferral discipline as incumbent-bounded pruning, so the emitted
-//!   stream is bit-for-bit identical to the unshared one, ties included.
-//! * **`ModuloSymmetry`** — the stream itself is quotiented, by pruning
-//!   branch generation: when a node is expanded, its branch separators are
-//!   grouped into orbits under the *stabilizer* of the node's committed
-//!   constraints, and each orbit spawns one child. Dropping the cell of
-//!   `S_j = σ(S_i)` (with `i < j` and `σ` fixing both constraint
-//!   families) is sound because any solution `T` of that cell maps to
-//!   `σ⁻¹T` — same cost, same orbit — which avoids `S_i` and therefore
-//!   lives in a cell of index `≤ i`; descending induction covers chains
-//!   of drops, so the kept subtrees stay orbit-complete. A result whose
-//!   fill-edge set is orbit-equivalent to an earlier emission is also
-//!   suppressed (orbit-mates can still surface inside one kept cell). The
-//!   output is one cheapest representative per automorphism-orbit of
-//!   minimal triangulations.
+//! Only this mode probes the automorphism group; the default
+//! [`SymmetryPolicy::Full`] stream runs the plain Lawler–Murty loop.
 //!
 //! Orbits are those of the *discovered* group (see
 //! [`mtr_graph::AutGroup`]): a subgroup merges fewer orbits but is always
-//! sound. Canonicalization closes the orbit of the object itself (a
-//! constraint family, a fill set) under the generators — bounded by the
-//! orbit size, not the group order — and is capped; past the cap a
-//! subproblem simply opts out of sharing/merging.
+//! sound. Orbit closures (of a fill set under the generators, of a branch
+//! separator under a stabilizer) are bounded by the orbit size, not the
+//! group order, and capped; past the cap an object merges with fewer of
+//! its orbit-mates, which is also sound.
 
-use crate::cost::{Constraints, CostValue};
+use crate::cost::Constraints;
 use mtr_graph::{Graph, Vertex, VertexSet};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Cap on the breadth-first orbit closure of one constraint configuration
-/// or fill set. Orbits of the configurations that arise in practice have
-/// at most group-order size (8–24 on the symmetric benchmark instances);
-/// a configuration whose orbit exceeds the cap is treated as unshareable,
-/// which is always sound.
+/// Cap on the breadth-first orbit closure of one fill set (under the
+/// generators) or one branch separator (under a stabilizer). The orbits
+/// that arise in practice have at most group-order size (8–24 on the
+/// symmetric benchmark instances); a closure that exceeds the cap stops
+/// early and merges fewer orbit-mates, which is always sound.
 const ORBIT_CLOSURE_CAP: usize = 512;
 
 /// Cap on materializing the discovered group's element list at probe
@@ -62,16 +52,10 @@ const GROUP_ELEMENT_CAP: usize = 512;
 /// How an enumeration session treats the automorphism group of its input.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SymmetryPolicy {
-    /// Enumerate every minimal triangulation (the default). When the
-    /// discovered automorphism group is non-trivial and the cost is
-    /// label-invariant, orbit-equivalent subproblems share their exact
-    /// optimum cost — the output is unchanged, bit for bit; only
-    /// re-optimizations are avoided.
+    /// Enumerate every minimal triangulation (the default). No
+    /// automorphism probe runs.
     #[default]
     Full,
-    /// Enumerate every minimal triangulation and skip the automorphism
-    /// probe entirely (measurement/debugging baseline).
-    Off,
     /// Emit one cheapest representative per automorphism-orbit of minimal
     /// triangulations, pruning orbit-duplicate branches during the search.
     /// Requires a label-invariant cost; otherwise the session silently
@@ -80,14 +64,8 @@ pub enum SymmetryPolicy {
     ModuloSymmetry,
 }
 
-/// Canonical form of one Lawler–Murty constraint configuration: the
-/// sorted include and exclude families of the lexicographically smallest
-/// orbit member.
-type ConfigKey = (Vec<VertexSet>, Vec<VertexSet>);
-
-/// The probed symmetry context of one enumeration session (or one atom of
-/// a factorized session): the discovered generators plus summary figures
-/// for the stats surface.
+/// The probed symmetry context of one modulo-symmetry session: the
+/// discovered generators plus summary figures for the stats surface.
 #[derive(Debug)]
 pub struct OrbitContext {
     generators: Vec<Vec<Vertex>>,
@@ -132,45 +110,6 @@ impl OrbitContext {
 
     fn apply_to_set(sigma: &[Vertex], s: &VertexSet) -> VertexSet {
         VertexSet::from_iter(s.universe(), s.iter().map(|v| sigma[v as usize]))
-    }
-
-    /// Canonical representative of the orbit of `(include, exclude)`:
-    /// the lexicographic minimum of the configuration's image over the
-    /// materialized element list. `None` for huge groups — past
-    /// [`GROUP_ELEMENT_CAP`] a breadth-first closure under the generators
-    /// almost never fits any workable cap, so sharing would pay the full
-    /// closure cost per node and collapse nothing; those sessions run
-    /// unshared on the probe alone.
-    fn canonical_config(&self, c: &Constraints) -> Option<ConfigKey> {
-        let elements = self.elements.as_ref()?;
-        let mut include = c.include.clone();
-        include.sort_unstable();
-        let mut exclude = c.exclude.clone();
-        exclude.sort_unstable();
-        let start: ConfigKey = (include, exclude);
-        let mut best = start.clone();
-        for sigma in elements {
-            let mut img_i: Vec<VertexSet> = start
-                .0
-                .iter()
-                .map(|s| Self::apply_to_set(sigma, s))
-                .collect();
-            img_i.sort_unstable();
-            if img_i > best.0 {
-                continue;
-            }
-            let mut img_x: Vec<VertexSet> = start
-                .1
-                .iter()
-                .map(|s| Self::apply_to_set(sigma, s))
-                .collect();
-            img_x.sort_unstable();
-            let img = (img_i, img_x);
-            if img < best {
-                best = img;
-            }
-        }
-        Some(best)
     }
 
     /// Canonical representative of the orbit of a fill-edge set. `None`
@@ -276,44 +215,6 @@ impl OrbitContext {
                         .all(|s| exclude.contains(&Self::apply_to_set(sigma, s)))
             })
             .collect()
-    }
-}
-
-/// Exact-cost sharing across orbit-equivalent subproblems (full mode).
-#[derive(Debug)]
-pub(crate) struct OrbitShare {
-    ctx: Arc<OrbitContext>,
-    solved: HashMap<ConfigKey, CostValue>,
-    /// Children enqueued at a sibling orbit's exact cost instead of being
-    /// re-optimized eagerly (cumulative).
-    pub(crate) replays: usize,
-}
-
-impl OrbitShare {
-    pub(crate) fn new(ctx: Arc<OrbitContext>) -> Self {
-        OrbitShare {
-            ctx,
-            solved: HashMap::new(),
-            replays: 0,
-        }
-    }
-
-    /// The canonical key of a configuration, when its orbit fits the cap.
-    pub(crate) fn key_of(&self, c: &Constraints) -> Option<ConfigKey> {
-        self.ctx.canonical_config(c)
-    }
-
-    /// Known exact optimum of the orbit, if any sibling recorded one.
-    pub(crate) fn get(&self, key: &ConfigKey) -> Option<CostValue> {
-        self.solved.get(key).copied()
-    }
-
-    /// Records a feasible subproblem's exact optimum for its whole orbit.
-    /// Only feasible outcomes are recorded: treating "sibling was empty"
-    /// as transferable would couple the output to the guard's tie-breaks,
-    /// while an exact cost transfers by the label-invariance argument.
-    pub(crate) fn put(&mut self, key: ConfigKey, cost: CostValue) {
-        self.solved.entry(key).or_insert(cost);
     }
 }
 
@@ -473,34 +374,6 @@ impl ModuloDedup {
     }
 }
 
-/// The symmetry machinery of one engine instance.
-#[derive(Debug, Default)]
-pub(crate) enum SymmetryMode {
-    /// No probe or trivial group: zero overhead on the hot path.
-    #[default]
-    Off,
-    /// Full stream with orbit-canonical exact-cost sharing.
-    Share(OrbitShare),
-    /// One representative per orbit.
-    Modulo(ModuloDedup),
-}
-
-impl SymmetryMode {
-    pub(crate) fn orbit_replays(&self) -> usize {
-        match self {
-            SymmetryMode::Share(share) => share.replays,
-            _ => 0,
-        }
-    }
-
-    pub(crate) fn orbits_merged(&self) -> usize {
-        match self {
-            SymmetryMode::Modulo(dedup) => dedup.merged,
-            _ => 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,29 +390,6 @@ mod tests {
         let ctx = OrbitContext::probe(&c6()).expect("C6 is symmetric");
         assert_eq!(ctx.group_order(), 12);
         assert_eq!(ctx.orbit_count(), 1);
-    }
-
-    #[test]
-    fn canonical_config_is_orbit_invariant() {
-        let g = c6();
-        let ctx = OrbitContext::probe(&g).unwrap();
-        let aut = g.automorphisms();
-        let elements = aut.elements(64).expect("order 12");
-        let base = Constraints::new(
-            vec![VertexSet::from_slice(6, &[0, 2])],
-            vec![VertexSet::from_slice(6, &[1, 3])],
-        );
-        let key = ctx.canonical_config(&base).expect("small orbit");
-        for sigma in &elements {
-            let image = Constraints::new(
-                vec![OrbitContext::apply_to_set(sigma, &base.include[0])],
-                vec![OrbitContext::apply_to_set(sigma, &base.exclude[0])],
-            );
-            assert_eq!(ctx.canonical_config(&image).unwrap(), key);
-        }
-        // A configuration in a different orbit keys differently.
-        let other = Constraints::new(vec![VertexSet::from_slice(6, &[0, 3])], vec![]);
-        assert_ne!(ctx.canonical_config(&other).unwrap(), key);
     }
 
     #[test]
@@ -562,18 +412,8 @@ mod tests {
     }
 
     #[test]
-    fn share_and_dedup_bookkeeping() {
+    fn dedup_bookkeeping() {
         let ctx = OrbitContext::probe(&c6()).unwrap();
-        let mut share = OrbitShare::new(ctx.clone());
-        let c = Constraints::new(vec![VertexSet::from_slice(6, &[1, 3])], vec![]);
-        let key = share.key_of(&c).unwrap();
-        assert!(share.get(&key).is_none());
-        share.put(key.clone(), CostValue::from_usize(2));
-        // A rotated sibling sees the recorded cost.
-        let rotated = Constraints::new(vec![VertexSet::from_slice(6, &[2, 4])], vec![]);
-        let rkey = share.key_of(&rotated).unwrap();
-        assert_eq!(share.get(&rkey), Some(CostValue::from_usize(2)));
-
         let mut dedup = ModuloDedup::new(ctx);
         // At the root (empty constraints) the stabilizer is the whole
         // group: the two rotated separators are siblings in one orbit and

@@ -344,35 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn per_atom_orbit_sharing_is_exact_on_glued_graph() {
-        use mtr_core::SymmetryPolicy;
-        let g = glued();
-        // Each C4 atom is a 4-cycle with automorphism group of order 8, so
-        // the per-atom probes fire even though they change nothing
-        // observable: the merged stream must be bit-for-bit identical.
-        let off = Enumerate::on(&g)
-            .cost(&FillIn)
-            .symmetry(SymmetryPolicy::Off)
-            .reduce(ReductionLevel::Full)
-            .run()
-            .unwrap();
-        for threads in [1, 4] {
-            let shared = Enumerate::on(&g)
-                .cost(&FillIn)
-                .reduce(ReductionLevel::Full)
-                .threads(threads)
-                .run()
-                .unwrap();
-            assert_eq!(costs(&off), costs(&shared), "threads {threads}");
-            assert_eq!(fill_sets(&g, &off), fill_sets(&g, &shared));
-            assert_eq!(shared.stats.atoms, 3);
-            // The factorized path never probes the whole graph: the
-            // session-level group order reads as trivial by design.
-            assert_eq!(shared.stats.symmetry_group_order, 1);
-        }
-    }
-
-    #[test]
     fn modulo_symmetry_falls_back_to_direct_engine() {
         use mtr_core::SymmetryPolicy;
         // Two C5 lobes sharing the cut vertex 0: the cut vertex is a clique

@@ -48,9 +48,7 @@ use mtr_chordal::{maximal_cliques_chordal, minimal_separators_from_cliques};
 use mtr_core::cost::{AtomCombine, BagCost, CostValue};
 use mtr_core::pool::{Scratch, WorkerPool};
 use mtr_core::ranked::{RankedQueue, Ticket};
-use mtr_core::{
-    heuristic_incumbent, CancelFlag, OrbitContext, Preprocessed, RankedState, RankedTriangulation,
-};
+use mtr_core::{heuristic_incumbent, CancelFlag, Preprocessed, RankedState, RankedTriangulation};
 use mtr_graph::{Graph, Vertex};
 use std::collections::HashSet;
 
@@ -142,12 +140,6 @@ pub(crate) struct AtomStream {
     /// [`AtomStream::arm`] before the first pull; a lazily materialized
     /// engine is armed the same way.
     prune: bool,
-    /// Orbit-canonical sharing of constrained re-optimizations inside this
-    /// stream's own search (exact — the emitted stream is identical either
-    /// way). The automorphism probe runs against the *stream* graph, so
-    /// isomorphic-atom grouping and per-atom symmetry compose. Armed like
-    /// `prune`.
-    share_orbits: bool,
     /// Cooperative cancellation: when raised, [`AtomStream::ensure`] bails
     /// out *without* marking the stream exhausted, so a partial prefix is
     /// still publishable (as incomplete) and never poisons the store.
@@ -217,7 +209,6 @@ impl AtomStream {
             was_complete: false,
             key,
             prune: false,
-            share_orbits: false,
             cancel: None,
         }
     }
@@ -228,22 +219,19 @@ impl AtomStream {
         self.cancel = Some(flag);
     }
 
-    /// Arms this stream's own enumeration: incumbent-bounded pruning seeded
-    /// with a heuristic minimal triangulation of the stream graph, and
-    /// orbit-canonical subproblem sharing when that graph has a nontrivial
-    /// automorphism group. Call before the first pull; seeded (lazy)
-    /// streams arm their engine when (and if) demand materializes it.
+    /// Arms this stream's own enumeration with incumbent-bounded pruning,
+    /// seeded with a heuristic minimal triangulation of the stream graph.
+    /// Call before the first pull; seeded (lazy) streams arm their engine
+    /// when (and if) demand materializes it.
     pub(crate) fn arm<K: BagCost + ?Sized>(
         &mut self,
         cost: &K,
         width_bound: Option<usize>,
         prune: bool,
-        share_orbits: bool,
     ) {
         self.prune = prune;
-        self.share_orbits = share_orbits;
         if let AtomEngine::Ranked { pre, state, .. } = &mut self.engine {
-            **state = armed_state(pre, cost, width_bound, prune, share_orbits);
+            **state = armed_state(pre, cost, width_bound, prune);
         }
     }
 
@@ -251,15 +239,6 @@ impl AtomStream {
     fn nodes_pruned(&self) -> usize {
         match &self.engine {
             AtomEngine::Ranked { state, .. } => state.nodes_pruned(),
-            _ => 0,
-        }
-    }
-
-    /// Constrained re-optimizations this stream served from an
-    /// orbit-equivalent sibling instead of running the DP.
-    fn orbit_replays(&self) -> usize {
-        match &self.engine {
-            AtomEngine::Ranked { state, .. } => state.orbit_replays(),
             _ => 0,
         }
     }
@@ -401,7 +380,7 @@ impl AtomStream {
                     Some(b) => Preprocessed::new_bounded(graph, *b),
                     None => Preprocessed::new(graph),
                 };
-                let state = armed_state(&pre, cost, width_bound, self.prune, self.share_orbits);
+                let state = armed_state(&pre, cost, width_bound, self.prune);
                 self.engine = AtomEngine::Ranked {
                     pre: Box::new(pre),
                     state: Box::new(state),
@@ -472,16 +451,10 @@ fn armed_state<K: BagCost + ?Sized>(
     cost: &K,
     width_bound: Option<usize>,
     prune: bool,
-    share_orbits: bool,
 ) -> RankedState {
     let mut state = RankedState::new();
     if prune {
         state.enable_pruning(heuristic_incumbent(pre.graph(), cost, width_bound));
-    }
-    if share_orbits {
-        if let Some(ctx) = OrbitContext::probe(pre.graph()) {
-            state.enable_orbit_sharing(ctx);
-        }
     }
     state
 }
@@ -614,14 +587,6 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> FactorizedEnumerator<'a, 'p, K> {
     /// The current global incumbent bound, if pruning is active.
     pub(crate) fn incumbent(&self) -> Option<CostValue> {
         self.incumbent
-    }
-
-    /// Constrained re-optimizations the per-atom streams served from
-    /// orbit-equivalent siblings instead of running the DP.
-    pub(crate) fn orbit_replays(&self) -> usize {
-        (0..self.streams.len())
-            .map(|g| self.stream(g).orbit_replays())
-            .sum()
     }
 
     /// Scratch bytes served from the per-stream enumeration arenas.
@@ -926,10 +891,6 @@ impl<K: BagCost + Sync + ?Sized> mtr_core::SessionEngine for FactorizedEnumerato
 
     fn nodes_pruned(&self) -> usize {
         self.nodes_pruned()
-    }
-
-    fn orbit_replays(&self) -> usize {
-        self.orbit_replays()
     }
 
     fn incumbent_cost(&self) -> Option<CostValue> {

@@ -173,9 +173,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Reduced<'a, K> {
     }
 
     /// Symmetry policy (mirrors [`Enumerate::symmetry`], so the knob can
-    /// be chained after `.reduce(..)` too). `Full` arms orbit-canonical
-    /// subproblem sharing inside every per-atom stream (probing each
-    /// stream graph's own automorphisms); `ModuloSymmetry` falls back to
+    /// be chained after `.reduce(..)` too). `ModuloSymmetry` falls back to
     /// the direct engine, because a whole-graph automorphism may permute
     /// atoms — a quotient the per-atom product stream cannot see.
     pub fn symmetry(mut self, policy: SymmetryPolicy) -> Self {
@@ -410,9 +408,7 @@ impl StatsContext {
             atom_cache_misses: self.cache_misses,
             atoms_deduped: self.atoms_deduped,
             cache_bytes: self.cache_bytes(),
-            // No whole-graph probe on the factorized path: symmetry lives
-            // per atom here, so the session-level group order reads as
-            // trivial (the per-stream probes feed `subproblems_replayed`).
+            // The factorized path runs no automorphism probe.
             symmetry_group_order: 1,
             ..EnumerationStats::default()
         }
@@ -528,15 +524,10 @@ where
     // Incumbent-bounded pruning, both per atom (each stream's own
     // Lawler–Murty search gets a heuristic seed for its atom graph) and
     // across the merge (a whole-graph heuristic seed bounds the product
-    // space before the first result is even emitted). Per-atom symmetry:
-    // each stream graph gets its own automorphism probe (an atom often
-    // keeps local symmetry even when the whole graph has none). Exact — the
-    // merged stream is identical either way — and only sound for
-    // label-invariant costs, same gate as the direct engine.
+    // space before the first result is even emitted).
     let prune = config.pruning.is_enabled();
-    let share_orbits = config.symmetry != SymmetryPolicy::Off && config.cost().label_invariant();
     for stream in &mut streams {
-        stream.arm(config.cost(), width_bound, prune, share_orbits);
+        stream.arm(config.cost(), width_bound, prune);
     }
 
     let mut engine = FactorizedEnumerator::new(

@@ -116,7 +116,7 @@ fn usage() -> &'static str {
      \x20          [--top <k>] [--width-bound <b>] [--threads <t>] [--diverse <threshold>]\n\
      \x20          [--deadline <secs>] [--node-budget <n>] [--reduce off|components|full]\n\
      \x20          [--cache] [--cache-dir <directory>] [--no-prune]\n\
-     \x20          [--modulo-symmetry] [--no-symmetry]\n\
+     \x20          [--modulo-symmetry]\n\
      \x20          [--stats-json] [--emit-td <directory>] [--bounds] [--trace-json <path>]\n\
      \x20          [--fault <spec>]\n\
      \x20      mtr atoms <graph-file|-> [--format pace|dimacs|edges] [--reduce components|full]\n\
@@ -136,8 +136,7 @@ fn usage() -> &'static str {
      \x20      --no-prune disables incumbent-bounded branch pruning (on by default;\n\
      \x20      pruning never changes the results, only the work performed)\n\
      \x20      --modulo-symmetry emits one representative per automorphism orbit of\n\
-     \x20      minimal triangulations (for label-invariant costs); --no-symmetry also\n\
-     \x20      disables the exact orbit-sharing of subproblems that is on by default\n\
+     \x20      minimal triangulations (for label-invariant costs)\n\
      \x20      --trace-json records every span and event as JSONL (see docs/OBSERVABILITY.md);\n\
      \x20      --slow-ms logs requests whose first result took longer than the threshold;\n\
      \x20      --max-session-ms cancels any served session running past the cap;\n\
@@ -249,7 +248,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--no-prune" => opts.no_prune = true,
             "--modulo-symmetry" => opts.symmetry = SymmetryPolicy::ModuloSymmetry,
-            "--no-symmetry" => opts.symmetry = SymmetryPolicy::Off,
             "--stats-json" => opts.stats_json = true,
             "--emit-td" => opts.emit_td = Some(PathBuf::from(value("--emit-td")?)),
             "--bounds" => opts.bounds = true,
@@ -459,9 +457,9 @@ fn run_atoms(g: &Graph, opts: &Options) -> Result<(), CliError> {
         groups.entry(key).or_default().push(i);
     }
     for (i, atom) in dec.atoms.iter().enumerate() {
-        // The discovered automorphism group of the atom itself: its order
-        // bounds the per-atom subproblem sharing, and the orbit count shows
-        // how interchangeable the atom's vertices are (n orbits = rigid).
+        // The discovered automorphism group of the atom itself: the orbit
+        // count shows how interchangeable the atom's vertices are
+        // (n orbits = rigid).
         let aut = atom.graph.automorphisms();
         println!(
             "atom #{i}: {} vertices, {} edges, {} canonical {} aut |G|={} orbits={} {}",
@@ -647,17 +645,11 @@ fn run_inner(opts: &Options) -> Result<(), CliError> {
                 .map_or_else(|| "none".into(), |c| format!("{c}"))
         );
     }
-    if stats.symmetry_group_order > 1 || stats.orbits_merged > 0 || stats.subproblems_replayed > 0 {
+    if stats.symmetry_group_order > 1 || stats.orbits_merged > 0 {
         println!(
-            "symmetry: discovered group order {}, {} subproblems replayed, {} orbits merged{}",
-            stats.symmetry_group_order,
-            stats.subproblems_replayed,
-            stats.orbits_merged,
-            if opts.symmetry == SymmetryPolicy::ModuloSymmetry {
-                " (one representative per orbit)"
-            } else {
-                ""
-            }
+            "symmetry: discovered group order {}, {} orbits merged \
+             (one representative per orbit)",
+            stats.symmetry_group_order, stats.orbits_merged
         );
     }
     if stats.effective_threads > 1 {
@@ -1396,8 +1388,7 @@ mod tests {
     fn symmetry_flags_parse_and_quotient_the_stream() {
         let defaults = parse_args(&args(&["g.gr"])).unwrap();
         assert_eq!(defaults.symmetry, SymmetryPolicy::Full);
-        let off = parse_args(&args(&["g.gr", "--no-symmetry"])).unwrap();
-        assert_eq!(off.symmetry, SymmetryPolicy::Off);
+        assert!(parse_args(&args(&["g.gr", "--no-symmetry"])).is_err());
         let modulo = parse_args(&args(&["g.gr", "--modulo-symmetry"])).unwrap();
         assert_eq!(modulo.symmetry, SymmetryPolicy::ModuloSymmetry);
         // The atoms subcommand takes neither.
@@ -1405,12 +1396,13 @@ mod tests {
         assert!(usage().contains("--modulo-symmetry"));
 
         // End to end on C6: 14 minimal triangulations, 3 up to rotation
-        // and reflection — and the stats surface the quotient.
+        // and reflection — and the stats surface the quotient. Only the
+        // modulo run probes the automorphism group.
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
         let full = parse_args(&args(&["g", "--cost", "fill", "--top", "20"])).unwrap();
         let (all, _) = enumerate(&g, &full).unwrap();
         assert_eq!(all.results.len(), 14);
-        assert_eq!(all.stats.symmetry_group_order, 12);
+        assert_eq!(all.stats.symmetry_group_order, 1);
         let opts = parse_args(&args(&[
             "g",
             "--cost",

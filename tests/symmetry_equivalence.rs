@@ -1,24 +1,17 @@
-//! Symmetry-aware search-space collapse must be invisible in full mode and
-//! sound in modulo mode.
+//! Enumeration modulo symmetry must be a sound quotient of the full stream.
 //!
-//! Full mode (the default): orbit-canonical sharing of constrained
-//! re-optimizations replays exact costs across automorphism-equivalent
-//! subproblems, but the emitted stream must be *bit-for-bit* identical to a
-//! `SymmetryPolicy::Off` run — same cost sequence, same fill sets, same tie
-//! order — for both engines (direct and factorized), both cost families
-//! (additive fill-like, max width-like), and both thread counts.
-//!
-//! Modulo mode: the stream is quotiented to one representative per
-//! automorphism orbit of minimal triangulations. The representatives must
-//! be pairwise orbit-inequivalent, orbit-complete (every baseline result is
-//! an automorphism image of some emitted representative), and each
+//! Modulo mode quotients the stream to one representative per automorphism
+//! orbit of minimal triangulations. The representatives must be pairwise
+//! orbit-inequivalent, orbit-complete (every baseline result is an
+//! automorphism image of some emitted representative), and each
 //! representative must be cheapest in its orbit (equivalently: it is the
-//! first member of its orbit the baseline stream would have emitted).
+//! first member of its orbit the baseline stream would have emitted). The
+//! baseline is the default, full stream, which runs no automorphism probe.
 
 mod common;
 
 use common::{arbitrary_graph, fill_key};
-use mtr_core::cost::{CostValue, FillIn, Width};
+use mtr_core::cost::{CostValue, FillIn};
 use mtr_core::{BagCost, CancelFlag, Enumerate, EnumerationRun, StopReason, SymmetryPolicy};
 use mtr_graph::{Graph, Vertex};
 use mtr_reduce::{EnumerateReduceExt, ReductionLevel};
@@ -44,10 +37,6 @@ fn run(
         .reduce(level)
         .run()
         .expect("session cannot fail on a plain graph")
-}
-
-fn costs(run: &EnumerationRun) -> Vec<CostValue> {
-    run.results.iter().map(|r| r.cost).collect()
 }
 
 /// The full ranked sequence, in emission order, identified by fill set.
@@ -93,58 +82,8 @@ fn canonical_fill(generators: &[Vec<Vertex>], fill: &[(u32, u32)]) -> Vec<(u32, 
     best
 }
 
-/// Shared ≡ off, result-for-result (order included — sharing must be
-/// tie-safe, not just set-equal).
-fn assert_sharing_invisible(
-    g: &Graph,
-    cost: &(dyn BagCost + Sync),
-    level: ReductionLevel,
-    threads: usize,
-) {
-    let shared = run(g, cost, threads, level, SymmetryPolicy::Full, None);
-    let plain = run(g, cost, threads, level, SymmetryPolicy::Off, None);
-    assert_eq!(
-        costs(&plain),
-        costs(&shared),
-        "cost sequence diverged at threads={threads}, level={level}, cost={}",
-        cost.name()
-    );
-    assert_eq!(
-        fill_sequence(g, &plain),
-        fill_sequence(g, &shared),
-        "emission order diverged at threads={threads}, level={level}, cost={}",
-        cost.name()
-    );
-    assert_eq!(
-        plain.stats.subproblems_replayed, 0,
-        "symmetry off must not replay"
-    );
-    assert_eq!(plain.stats.orbits_merged, 0);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Direct engine: orbit sharing on ≡ off for an additive and a
-    /// max-combining cost, sequentially and in parallel.
-    #[test]
-    fn direct_engine_sharing_is_invisible(g in arbitrary_graph(3, 8)) {
-        for threads in [1usize, 4] {
-            assert_sharing_invisible(&g, &FillIn, ReductionLevel::Off, threads);
-            assert_sharing_invisible(&g, &Width, ReductionLevel::Off, threads);
-        }
-    }
-
-    /// Factorized engine under full reduction: each per-atom stream probes
-    /// its own automorphisms, and the merged stream is still bit-for-bit
-    /// identical.
-    #[test]
-    fn factorized_engine_sharing_is_invisible(g in arbitrary_graph(3, 8)) {
-        for threads in [1usize, 4] {
-            assert_sharing_invisible(&g, &FillIn, ReductionLevel::Full, threads);
-            assert_sharing_invisible(&g, &Width, ReductionLevel::Full, threads);
-        }
-    }
 
     /// Modulo mode is a sound quotient of the baseline stream: the
     /// representatives are pairwise orbit-inequivalent, every baseline
@@ -152,7 +91,7 @@ proptest! {
     /// and each representative is the cheapest member of its orbit.
     #[test]
     fn modulo_symmetry_quotients_soundly(g in arbitrary_graph(3, 7)) {
-        let baseline = run(&g, &FillIn, 1, ReductionLevel::Off, SymmetryPolicy::Off, None);
+        let baseline = run(&g, &FillIn, 1, ReductionLevel::Off, SymmetryPolicy::Full, None);
         let quotient = run(
             &g,
             &FillIn,
@@ -199,20 +138,22 @@ proptest! {
         }
     }
 
-    /// A `max_results` prefix of the shared stream is exactly the same
-    /// prefix of the baseline stream, and a pre-raised cancel flag stops a
-    /// symmetric run before any result, in every mode.
+    /// In every mode, a `max_results` run emits exactly a prefix of the
+    /// unbudgeted stream, and a pre-raised cancel flag stops a symmetric
+    /// run before any result.
     #[test]
     fn budgets_and_cancel_compose_with_symmetry(g in arbitrary_graph(3, 8)) {
         for level in [ReductionLevel::Off, ReductionLevel::Full] {
-            let plain = run(&g, &FillIn, 1, level, SymmetryPolicy::Off, None);
-            let k = (plain.results.len() / 2).max(1);
-            let shared = run(&g, &FillIn, 1, level, SymmetryPolicy::Full, Some(k));
-            let prefix: Vec<_> = fill_sequence(&g, &plain)
-                .into_iter()
-                .take(shared.results.len())
-                .collect();
-            prop_assert_eq!(fill_sequence(&g, &shared), prefix);
+            for symmetry in [SymmetryPolicy::Full, SymmetryPolicy::ModuloSymmetry] {
+                let whole = run(&g, &FillIn, 1, level, symmetry, None);
+                let k = (whole.results.len() / 2).max(1);
+                let budgeted = run(&g, &FillIn, 1, level, symmetry, Some(k));
+                let prefix: Vec<_> = fill_sequence(&g, &whole)
+                    .into_iter()
+                    .take(budgeted.results.len())
+                    .collect();
+                prop_assert_eq!(fill_sequence(&g, &budgeted), prefix);
+            }
         }
         for symmetry in [SymmetryPolicy::Full, SymmetryPolicy::ModuloSymmetry] {
             let flag = CancelFlag::new();
@@ -229,9 +170,9 @@ proptest! {
     }
 }
 
-/// The machinery actually fires on a symmetric corpus — and the stats
-/// surface it. C6 quotients 14 → 3; the 3×3 grid replays shared orbits
-/// under top-k demand and explores strictly fewer partitions for it.
+/// The quotient actually fires on a symmetric corpus — and the stats
+/// surface it: C6 quotients 14 → 3. The default stream never probes the
+/// group, so it reports the trivial order.
 #[test]
 fn symmetry_fires_on_symmetric_corpus() {
     let c6 = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
@@ -240,10 +181,12 @@ fn symmetry_fires_on_symmetric_corpus() {
         &FillIn,
         1,
         ReductionLevel::Off,
-        SymmetryPolicy::Off,
+        SymmetryPolicy::Full,
         None,
     );
     assert_eq!(baseline.results.len(), 14);
+    assert_eq!(baseline.stats.symmetry_group_order, 1);
+    assert_eq!(baseline.stats.orbits_merged, 0);
     let quotient = run(
         &c6,
         &FillIn,
@@ -255,52 +198,4 @@ fn symmetry_fires_on_symmetric_corpus() {
     assert_eq!(quotient.results.len(), 3, "C6 has 3 orbit classes");
     assert_eq!(quotient.stats.symmetry_group_order, 12);
     assert!(quotient.stats.orbits_merged > 0);
-
-    let grid3x3 = Graph::from_edges(
-        9,
-        &[
-            (0, 1),
-            (1, 2),
-            (3, 4),
-            (4, 5),
-            (6, 7),
-            (7, 8),
-            (0, 3),
-            (3, 6),
-            (1, 4),
-            (4, 7),
-            (2, 5),
-            (5, 8),
-        ],
-    );
-    // Pruning off isolates the sharing effect: the incumbent defers most
-    // children before the sharing lookup would see them, so replays are a
-    // property of the unpruned frontier.
-    let top10 = |symmetry: SymmetryPolicy| {
-        Enumerate::on(&grid3x3)
-            .cost(&FillIn)
-            .symmetry(symmetry)
-            .pruning(mtr_core::PruningPolicy::Off)
-            .max_results(10)
-            .run()
-            .expect("grid sessions cannot fail")
-    };
-    let shared = top10(SymmetryPolicy::Full);
-    let plain = top10(SymmetryPolicy::Off);
-    assert_eq!(costs(&plain), costs(&shared));
-    assert_eq!(
-        fill_sequence(&grid3x3, &plain),
-        fill_sequence(&grid3x3, &shared)
-    );
-    assert_eq!(shared.stats.symmetry_group_order, 8);
-    assert!(
-        shared.stats.subproblems_replayed > 0,
-        "grid cousins must hit shared orbits"
-    );
-    assert!(
-        shared.stats.nodes_explored < plain.stats.nodes_explored,
-        "replayed partitions left in the queue at stop are re-optimizations never paid ({} vs {})",
-        shared.stats.nodes_explored,
-        plain.stats.nodes_explored
-    );
 }
