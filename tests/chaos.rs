@@ -351,6 +351,9 @@ fn watchdog_cancels_runaway_sessions() {
 /// cancelled at the cap like the first, so the drain finishes.
 #[test]
 fn watchdog_cancels_sessions_queued_during_drain() {
+    // Both sessions must end by the watchdog, not by a fault another test
+    // armed on `serve.session.run`.
+    let _guard = fault_guard();
     const TENANT: &str = "drain-watchdog";
     let handle = serve_ephemeral(ServerConfig {
         workers: 1,
