@@ -1,11 +1,11 @@
 //! Criterion micro-benchmarks for the enumeration itself: the per-result
 //! delay of `RankedTriang` (the paper's "delay no init" column), the CKK
 //! baseline's per-result cost, and single `MinTriang` invocations with and
-//! without compiled constraints.
+//! without Lawler constraints.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mtr_core::cost::{Constrained, Constraints, FillIn, Width};
-use mtr_core::{min_triangulation, CkkEnumerator, Enumerate, Preprocessed};
+use mtr_core::cost::{Constraints, FillIn, Width};
+use mtr_core::{min_triangulation, min_triangulation_with, CkkEnumerator, Enumerate, Preprocessed};
 use mtr_graph::Graph;
 use mtr_workloads::random::gnp_connected;
 use mtr_workloads::structured::{grid, mycielski};
@@ -40,12 +40,7 @@ fn bench_min_triangulation(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new("fill_constrained", name),
                 &pre,
-                |b, pre| {
-                    b.iter(|| {
-                        let k = Constrained::new(&FillIn, &constraints);
-                        min_triangulation(pre, &k)
-                    })
-                },
+                |b, pre| b.iter(|| min_triangulation_with(pre, &FillIn, &constraints)),
             );
         }
     }

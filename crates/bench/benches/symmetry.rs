@@ -95,7 +95,7 @@ fn instances() -> Vec<(&'static str, Graph)> {
         ("paley13", paley(13)),
         ("star_of_cliques", star_of_cliques(4, 4, 2)),
         // Control: a seeded random graph with a trivial automorphism
-        // group, so full mode pays exactly one failed probe.
+        // group, so modulo mode pays exactly one failed probe.
         ("gnp20_020", gnp_connected(20, 0.20, 7)),
     ]
 }

@@ -630,35 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn combine_matches_cost_of_bags_for_width_and_fill() {
-        // Combining the block ({v}, {v'}) solution with Ω = {u,v,w1} must give
-        // the same value as evaluating the assembled bag list directly.
-        let g = paper_example_graph();
-        let scope = g.vertex_set();
-        let child_bags = vec![VertexSet::from_slice(6, &[1, 2])];
-        let sep = VertexSet::singleton(6, 1);
-        let verts = VertexSet::from_slice(6, &[1, 2]);
-        let omega = VertexSet::from_slice(6, &[0, 1, 3]);
-        for cost in [&Width as &dyn BagCost, &FillIn] {
-            let child = ChildSolution {
-                separator: &sep,
-                vertices: &verts,
-                cost: cost.cost_of_bags(&g, &verts, &child_bags),
-                bags: &child_bags,
-            };
-            let combined = cost.combine(&g, &scope, &omega, &[child]);
-            let mut bags = child_bags.clone();
-            bags.push(omega.clone());
-            assert_eq!(
-                combined,
-                cost.cost_of_bags(&g, &scope, &bags),
-                "{}",
-                cost.name()
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_weights_rejected() {
         WeightedWidth::new(vec![-1.0]);

@@ -1,20 +1,30 @@
-//! The constrained cost `κ[I, X]` (Section 6.1, Lemma 6.2).
+//! The inclusion/exclusion constraints `[I, X]` (Section 6.1, Lemma 6.2).
 //!
 //! The Lawler–Murty procedure reduces ranked enumeration to optimization
-//! under *inclusion* and *exclusion* constraints over minimal separators.
-//! The paper compiles the constraints into the cost function: a
-//! triangulation that violates them gets cost `∞`, and the resulting cost is
-//! still a split-monotone bag cost, so the same dynamic program optimizes
-//! it.
+//! under *inclusion* and *exclusion* constraints over minimal separators:
+//! every separator of `I` must be a clique of the triangulation and no
+//! separator of `X` may be. The paper compiles them into the cost; here the
+//! dynamic program decides them itself, from block structure alone
+//! ([`crate::mintriang::min_triangulation_with`]).
 //!
-//! The satisfaction relation follows the paper's block-aware definition:
-//! a (partial) triangulation `H` satisfies `[I, X]` iff for every constraint
-//! separator `U ⊆ V(H)`, `U` is a clique of `H` exactly when `U ∈ I`.
-//! Constraints that are not yet fully inside `V(H)` are ignored at that
-//! level and re-checked higher up, which is what keeps the compiled cost
-//! split monotone.
+//! **The rule.** A candidate `Ω` of a block over `scope`, with child blocks
+//! `(S_i, C_i)`, only decides the constraints `u ⊆ scope`:
+//!
+//! * it is skipped when an include `u` is neither `⊆ Ω` nor `⊆ S_i ∪ C_i`
+//!   for any child;
+//! * it is skipped when an exclude `u` has `u ⊆ Ω`.
+//!
+//! **Its precondition.** Each child's stored winner already satisfies
+//! every constraint inside that child's scope — which the program
+//! guarantees, since it never stores a skipped candidate.
+//!
+//! **Why it is exact.** Two vertices in different components of
+//! `scope ∖ Ω` share no edge and no bag, and neither do a vertex of `C_i`
+//! and one of `Ω ∖ S_i`. So `u` is a clique of the assembled triangulation
+//! exactly when `u ⊆ Ω`, or when `u` lies in one child, which has already
+//! decided it. Constraints not inside `scope` are left to the blocks above.
 
-use super::{BagCost, ChildSolution, CostValue};
+use super::ChildSolution;
 use mtr_graph::{Graph, VertexSet};
 
 /// A set of inclusion/exclusion constraints over minimal separators.
@@ -43,24 +53,6 @@ impl Constraints {
         self.include.is_empty() && self.exclude.is_empty()
     }
 
-    /// Checks whether the triangulation given by `bags` over `g[scope]`
-    /// satisfies the constraints (only constraints fully inside `scope` are
-    /// checked).
-    pub fn satisfied_by_bags(&self, g: &Graph, scope: &VertexSet, bags: &[VertexSet]) -> bool {
-        let clique_in = |u: &VertexSet| is_clique_in_triangulation(g, bags, u);
-        for u in &self.include {
-            if u.is_subset_of(scope) && !clique_in(u) {
-                return false;
-            }
-        }
-        for u in &self.exclude {
-            if u.is_subset_of(scope) && clique_in(u) {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Checks whether a *complete* triangulation `h` of `g` satisfies the
     /// constraints, in the sense of line 12 of the enumeration algorithm:
     /// every inclusion separator is a clique of `h` and every exclusion
@@ -68,197 +60,39 @@ impl Constraints {
     pub fn satisfied_by_graph(&self, h: &Graph) -> bool {
         self.include.iter().all(|u| h.is_clique(u)) && self.exclude.iter().all(|u| !h.is_clique(u))
     }
-}
 
-/// `true` iff `u` is a clique of the triangulation `g ∪ ⋃ K_bag`: every pair
-/// of `u` is either a `g`-edge or contained together in some bag.
-fn is_clique_in_triangulation(g: &Graph, bags: &[VertexSet], u: &VertexSet) -> bool {
-    // Fast path: a set inside a single bag is certainly a clique.
-    if bags.iter().any(|b| u.is_subset_of(b)) {
-        return true;
-    }
-    let members = u.to_vec();
-    for (i, &x) in members.iter().enumerate() {
-        for &y in &members[i + 1..] {
-            if g.has_edge(x, y) {
-                continue;
-            }
-            if !bags.iter().any(|b| b.contains(x) && b.contains(y)) {
-                return false;
-            }
+    /// The constraints inside `scope`: the ones a block over `scope`
+    /// decides.
+    pub(crate) fn within(&self, scope: &VertexSet) -> InScope<'_> {
+        let inside = |u: &&VertexSet| u.is_subset_of(scope);
+        InScope {
+            include: self.include.iter().filter(inside).collect(),
+            exclude: self.exclude.iter().filter(inside).collect(),
         }
-    }
-    true
-}
-
-/// The compiled cost `κ[I, X]`: the wrapped cost when the constraints are
-/// satisfied, `∞` otherwise.
-pub struct Constrained<'a, K: BagCost + ?Sized> {
-    inner: &'a K,
-    constraints: &'a Constraints,
-}
-
-impl<'a, K: BagCost + ?Sized> Constrained<'a, K> {
-    /// Wraps `inner` with the given constraints.
-    pub fn new(inner: &'a K, constraints: &'a Constraints) -> Self {
-        Constrained { inner, constraints }
     }
 }
 
-impl<K: BagCost + ?Sized> BagCost for Constrained<'_, K> {
-    fn name(&self) -> String {
-        format!(
-            "{}[{} include, {} exclude]",
-            self.inner.name(),
-            self.constraints.include.len(),
-            self.constraints.exclude.len()
-        )
-    }
-
-    fn cost_of_bags(&self, g: &Graph, scope: &VertexSet, bags: &[VertexSet]) -> CostValue {
-        if !self.constraints.satisfied_by_bags(g, scope, bags) {
-            return CostValue::INFINITE;
-        }
-        self.inner.cost_of_bags(g, scope, bags)
-    }
-
-    fn combine(
-        &self,
-        g: &Graph,
-        scope: &VertexSet,
-        omega: &VertexSet,
-        children: &[ChildSolution<'_>],
-    ) -> CostValue {
-        // Constraint check over the assembled solution: a constraint
-        // separator is a clique iff it lies inside Ω, inside some child's
-        // bag, or all its missing pairs are covered by those bags.
-        let mut violated = false;
-        'outer: for (want_clique, list) in [
-            (true, &self.constraints.include),
-            (false, &self.constraints.exclude),
-        ] {
-            for u in list {
-                if !u.is_subset_of(scope) {
-                    continue;
-                }
-                let clique = u.is_subset_of(omega)
-                    || children
-                        .iter()
-                        .any(|c| c.bags.iter().any(|b| u.is_subset_of(b)))
-                    || is_clique_in_assembled(g, omega, children, u);
-                if clique != want_clique {
-                    violated = true;
-                    break 'outer;
-                }
-            }
-        }
-        if violated {
-            return CostValue::INFINITE;
-        }
-        self.inner.combine(g, scope, omega, children)
-    }
+/// The constraints inside one block's scope (see the module docs).
+pub(crate) struct InScope<'a> {
+    include: Vec<&'a VertexSet>,
+    exclude: Vec<&'a VertexSet>,
 }
 
-/// Clique test against `g ∪ K_Ω ∪ ⋃ child bags` without materializing the
-/// assembled bag list.
-fn is_clique_in_assembled(
-    g: &Graph,
-    omega: &VertexSet,
-    children: &[ChildSolution<'_>],
-    u: &VertexSet,
-) -> bool {
-    let members = u.to_vec();
-    for (i, &x) in members.iter().enumerate() {
-        for &y in &members[i + 1..] {
-            if g.has_edge(x, y) {
-                continue;
-            }
-            if omega.contains(x) && omega.contains(y) {
-                continue;
-            }
-            let covered = children
-                .iter()
-                .any(|c| c.bags.iter().any(|b| b.contains(x) && b.contains(y)));
-            if !covered {
-                return false;
-            }
-        }
+impl InScope<'_> {
+    /// Whether the candidate `omega` with the solved `children` keeps every
+    /// constraint: the rule of the module docs.
+    pub(crate) fn admit(&self, omega: &VertexSet, children: &[ChildSolution<'_>]) -> bool {
+        self.exclude.iter().all(|u| !u.is_subset_of(omega))
+            && self.include.iter().all(|u| {
+                u.is_subset_of(omega) || children.iter().any(|c| u.is_subset_of(c.vertices))
+            })
     }
-    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{FillIn, Width};
     use mtr_graph::paper_example_graph;
-
-    fn t1_bags() -> Vec<VertexSet> {
-        vec![
-            VertexSet::from_slice(6, &[0, 3, 4, 5]),
-            VertexSet::from_slice(6, &[1, 3, 4, 5]),
-            VertexSet::from_slice(6, &[1, 2]),
-        ]
-    }
-
-    fn t2_bags() -> Vec<VertexSet> {
-        vec![
-            VertexSet::from_slice(6, &[0, 1, 3]),
-            VertexSet::from_slice(6, &[0, 1, 4]),
-            VertexSet::from_slice(6, &[0, 1, 5]),
-            VertexSet::from_slice(6, &[1, 2]),
-        ]
-    }
-
-    #[test]
-    fn unconstrained_wrapper_is_transparent() {
-        let g = paper_example_graph();
-        let scope = g.vertex_set();
-        let none = Constraints::none();
-        let wrapped = Constrained::new(&Width, &none);
-        assert_eq!(
-            wrapped.cost_of_bags(&g, &scope, &t1_bags()),
-            Width.cost_of_bags(&g, &scope, &t1_bags())
-        );
-        assert!(none.is_empty());
-    }
-
-    #[test]
-    fn include_constraint_forces_separator() {
-        let g = paper_example_graph();
-        let scope = g.vertex_set();
-        // Require S1 = {w1,w2,w3} to be a clique: T1 satisfies, T2 does not.
-        let cons = Constraints::new(vec![VertexSet::from_slice(6, &[3, 4, 5])], vec![]);
-        let wrapped = Constrained::new(&FillIn, &cons);
-        assert_eq!(
-            wrapped.cost_of_bags(&g, &scope, &t1_bags()),
-            CostValue::from_usize(3)
-        );
-        assert!(wrapped.cost_of_bags(&g, &scope, &t2_bags()).is_infinite());
-    }
-
-    #[test]
-    fn exclude_constraint_bans_separator() {
-        let g = paper_example_graph();
-        let scope = g.vertex_set();
-        // Forbid S2 = {u,v} from being a clique: T2 violates, T1 satisfies.
-        let cons = Constraints::new(vec![], vec![VertexSet::from_slice(6, &[0, 1])]);
-        let wrapped = Constrained::new(&FillIn, &cons);
-        assert!(wrapped.cost_of_bags(&g, &scope, &t1_bags()).is_finite());
-        assert!(wrapped.cost_of_bags(&g, &scope, &t2_bags()).is_infinite());
-    }
-
-    #[test]
-    fn constraints_outside_scope_are_ignored() {
-        let g = paper_example_graph();
-        // Scope = the block {v, v'}: the constraint on {w1,w2,w3} is not
-        // inside it, so the block-level cost stays finite.
-        let scope = VertexSet::from_slice(6, &[1, 2]);
-        let bags = vec![VertexSet::from_slice(6, &[1, 2])];
-        let cons = Constraints::new(vec![VertexSet::from_slice(6, &[3, 4, 5])], vec![]);
-        let wrapped = Constrained::new(&Width, &cons);
-        assert!(wrapped.cost_of_bags(&g, &scope, &bags).is_finite());
-    }
 
     #[test]
     fn satisfied_by_graph_matches_definition() {
@@ -280,34 +114,5 @@ mod tests {
         let both = Constraints::new(vec![s1], vec![VertexSet::from_slice(6, &[0, 1])]);
         assert!(both.satisfied_by_graph(&h1));
         assert!(!both.satisfied_by_graph(&h2));
-    }
-
-    #[test]
-    fn combine_agrees_with_cost_of_bags() {
-        let g = paper_example_graph();
-        let scope = g.vertex_set();
-        let child_bags = vec![VertexSet::from_slice(6, &[1, 2])];
-        let sep = VertexSet::singleton(6, 1);
-        let verts = VertexSet::from_slice(6, &[1, 2]);
-        let cons = Constraints::new(
-            vec![VertexSet::from_slice(6, &[0, 1])],
-            vec![VertexSet::from_slice(6, &[3, 4, 5])],
-        );
-        let wrapped = Constrained::new(&Width, &cons);
-        let child = ChildSolution {
-            separator: &sep,
-            vertices: &verts,
-            cost: CostValue::from_usize(1),
-            bags: &child_bags,
-        };
-        // Ω = {u, v, w1} contains {u, v} (include satisfied) and the scope
-        // includes {w1,w2,w3}? It does (scope = everything), and the
-        // assembled bags do not make it a clique, so exclusion holds too.
-        let omega = VertexSet::from_slice(6, &[0, 1, 3]);
-        let combined = wrapped.combine(&g, &scope, &omega, &[child]);
-        let mut bags = child_bags.clone();
-        bags.push(omega);
-        assert_eq!(combined, wrapped.cost_of_bags(&g, &scope, &bags));
-        assert!(combined.is_finite());
     }
 }

@@ -4,8 +4,9 @@
 //! only on its set of bags; it is *split monotone* when replacing a subtree
 //! of the decomposition with a cheaper subtree never increases the total
 //! cost. The paper shows that the Bouchitté–Todinca dynamic program
-//! optimizes any such cost, and that the inclusion/exclusion constraints
-//! needed by Lawler–Murty can be compiled into any such cost (Lemma 6.2).
+//! optimizes any such cost, also under the inclusion/exclusion constraints
+//! that Lawler–Murty needs (Lemma 6.2); the program decides those
+//! constraints itself ([`Constraints`]).
 //!
 //! The [`BagCost`] trait captures this interface:
 //!
@@ -13,15 +14,15 @@
 //!   presented as its bag list (the maximal cliques of the triangulation);
 //! * [`BagCost::combine`] is the compositional hook the dynamic program
 //!   uses to price "children blocks + one new bag Ω"; the default
-//!   implementation simply assembles the bag list and calls
-//!   `cost_of_bags`, which is correct for every bag cost, while the classic
-//!   costs override it with O(#children) arithmetic.
+//!   implementation walks the children's bags ([`ChildSolution::bags`]),
+//!   assembles the bag list and calls `cost_of_bags`, which is correct for
+//!   every bag cost, while the classic costs override it with
+//!   O(#children) arithmetic.
 //!
 //! The provided implementations are the costs discussed in the paper:
 //! width, fill-in, the weighted variants of Furuse and Yamazaki, the
 //! lexicographic `|E|·width + fill`, the state-space cost `Σ 2^|bag|`,
-//! hyperedge-cover width (hypertree-width-like), linear combinations, and
-//! the constraint wrapper `κ[I, X]`.
+//! hyperedge-cover width (hypertree-width-like), and linear combinations.
 
 mod classic;
 mod constrained;
@@ -31,7 +32,7 @@ pub use classic::{
     CoverWidth, ExpBagSum, FillIn, LinearCombination, WeightedFillIn, WeightedWidth, Width,
     WidthThenFill,
 };
-pub use constrained::{Constrained, Constraints};
+pub use constrained::Constraints;
 pub use value::CostValue;
 
 #[cfg(test)]
@@ -59,6 +60,7 @@ mod atom_combine_tests {
     }
 }
 
+use crate::mintriang::Table;
 use mtr_graph::{Graph, VertexSet};
 
 /// How a bag cost combines across the *atoms* of a clique-separator
@@ -93,8 +95,18 @@ pub struct ChildSolution<'a> {
     /// The stored cost of the child's optimal triangulation
     /// (of the realization `R(S_i, C_i)` relative to `G[S_i ∪ C_i]`).
     pub cost: CostValue,
-    /// The bags of the child's stored triangulation.
-    pub bags: &'a [VertexSet],
+    /// The table the child's bags are walked from, and the child's block.
+    pub(crate) table: Table<'a>,
+    pub(crate) block: usize,
+}
+
+impl<'a> ChildSolution<'a> {
+    /// The bags of the child's stored triangulation, walked back from the
+    /// dynamic program's table: the bags of each child of the child's
+    /// winning candidate in candidate order, then that candidate's `Ω`.
+    pub fn bags(&self) -> impl Iterator<Item = &'a VertexSet> + 'a {
+        self.table.bags(self.block)
+    }
 }
 
 /// A thread-safe boxed bag cost, as produced by [`named_cost`] and consumed
@@ -136,7 +148,8 @@ pub trait BagCost {
     /// The cost of the triangulation of `g[scope]` assembled from the child
     /// block solutions plus the new bag `omega` (Equation (1) of the paper).
     ///
-    /// The default implementation concatenates the bag lists and calls
+    /// The default implementation collects every child's
+    /// [`ChildSolution::bags`] followed by `omega` and calls
     /// [`BagCost::cost_of_bags`]; override it when the cost can be combined
     /// arithmetically from the child costs.
     fn combine(
@@ -146,11 +159,7 @@ pub trait BagCost {
         omega: &VertexSet,
         children: &[ChildSolution<'_>],
     ) -> CostValue {
-        let mut bags: Vec<VertexSet> =
-            Vec::with_capacity(1 + children.iter().map(|c| c.bags.len()).sum::<usize>());
-        for c in children {
-            bags.extend(c.bags.iter().cloned());
-        }
+        let mut bags: Vec<VertexSet> = children.iter().flat_map(|c| c.bags()).cloned().collect();
         bags.push(omega.clone());
         self.cost_of_bags(g, scope, &bags)
     }
@@ -213,35 +222,6 @@ pub(crate) fn induced_edge_count(g: &Graph, scope: &VertexSet) -> usize {
 mod tests {
     use super::*;
     use mtr_graph::paper_example_graph;
-
-    /// A deliberately non-incremental cost used to exercise the default
-    /// `combine` implementation: the number of bags.
-    struct BagCount;
-    impl BagCost for BagCount {
-        fn name(&self) -> String {
-            "bag-count".into()
-        }
-        fn cost_of_bags(&self, _g: &Graph, _scope: &VertexSet, bags: &[VertexSet]) -> CostValue {
-            CostValue::from_usize(bags.len())
-        }
-    }
-
-    #[test]
-    fn default_combine_assembles_bags() {
-        let g = paper_example_graph();
-        let child_bags = vec![VertexSet::from_slice(6, &[1, 2])];
-        let sep = VertexSet::singleton(6, 1);
-        let verts = VertexSet::from_slice(6, &[1, 2]);
-        let child = ChildSolution {
-            separator: &sep,
-            vertices: &verts,
-            cost: CostValue::finite(1.0),
-            bags: &child_bags,
-        };
-        let omega = VertexSet::from_slice(6, &[0, 1, 3]);
-        let cost = BagCount.combine(&g, &g.vertex_set(), &omega, &[child]);
-        assert_eq!(cost, CostValue::from_usize(2));
-    }
 
     #[test]
     fn named_costs_resolve_with_aliases() {

@@ -5,7 +5,7 @@
 //!
 //! * [`cost`] — split-monotone bag costs (width, fill-in, weighted and
 //!   lexicographic variants, hyperedge-cover width, `Σ 2^|bag|`, linear
-//!   combinations) plus the constraint compilation `κ[I, X]` of Lemma 6.2;
+//!   combinations) plus the inclusion/exclusion constraints of Lemma 6.2;
 //! * [`mintriang`] — `MinTriang⟨κ⟩` / `MinTriangB⟨b, κ⟩`: the generalized
 //!   Bouchitté–Todinca dynamic program computing one minimum-cost minimal
 //!   triangulation, with the cost-independent initialization factored into
@@ -66,10 +66,10 @@ pub mod symmetry;
 
 pub use baseline::{BaselineResult, CkkEnumerator, LbTriangSampler};
 pub use cancel::CancelFlag;
-pub use cost::{named_cost, BagCost, Constrained, Constraints, CostValue, DynBagCost};
+pub use cost::{named_cost, BagCost, Constraints, CostValue, DynBagCost};
 pub use diverse::{Diversified, DiversityFilter, SimilarityMeasure};
-pub use mintriang::{min_triangulation, min_triangulation_in, Preprocessed, Triangulation};
-pub use pool::{panic_message, resolve_threads, PoolStats, Scratch, TaskPanic, WorkerPool};
+pub use mintriang::{min_triangulation, min_triangulation_with, Preprocessed, Triangulation};
+pub use pool::{panic_message, resolve_threads, PoolStats, TaskPanic, WorkerPool};
 pub use properdec::{
     top_k_proper_decompositions, ProperDecompositionEnumerator, RankedDecomposition,
 };

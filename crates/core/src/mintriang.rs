@@ -7,8 +7,15 @@
 //! triangulation assembled from `Ω` and the previously computed optimal
 //! triangulations of the sub-blocks (Equation (1)); the top level picks the
 //! best `Ω ∈ PMC(G)` for the whole graph. Any split-monotone bag cost can be
-//! plugged in, including the constrained costs `κ[I, X]` used by the ranked
-//! enumeration.
+//! plugged in. The inclusion/exclusion constraints `[I, X]` of the ranked
+//! enumeration are decided inside the program, from block structure alone
+//! (see [`crate::cost::Constraints`]): a candidate that violates one is
+//! skipped rather than priced.
+//!
+//! The table holds back-pointers only: per full block, its optimal cost and
+//! the index of the candidate that attains it. Bags are walked from those
+//! back-pointers when they are needed — once for the root winner, and for
+//! costs that price candidates through the default [`BagCost::combine`].
 //!
 //! The expensive part — minimal separators, potential maximal cliques, full
 //! blocks, and the combinatorial structure of which PMCs can realize which
@@ -16,13 +23,14 @@
 //! into a [`Preprocessed`] value and shared by every `MinTriang` invocation
 //! (exactly the "initialization step" the paper's experiments report).
 
-use crate::cost::{BagCost, ChildSolution, CostValue};
-use crate::pool::{self, Scratch};
+use crate::cost::{BagCost, ChildSolution, Constraints, CostValue};
+use crate::pool;
 use mtr_chordal::cliques::maximal_cliques_chordal;
 use mtr_graph::{Graph, VertexSet};
 use mtr_pmc::enumerate::{potential_maximal_cliques, potential_maximal_cliques_bounded};
 use mtr_separators::blocks::{full_blocks, Block};
 use std::collections::HashMap;
+use std::fmt;
 
 /// A minimal triangulation together with its bag structure and cost.
 #[derive(Clone, Debug)]
@@ -140,7 +148,6 @@ impl Preprocessed {
         // child blocks induced by the components of (S ∪ C) \ Ω. Blocks are
         // independent of each other, so with `threads > 1` the resolution
         // runs as chunked work-stealing pool tasks.
-        let mut scratch = Scratch::default();
         let block_candidates: Vec<Vec<Candidate>> = if threads > 1 && blocks.len() > 1 {
             let chunk = blocks.len().div_ceil(threads * 4).max(1);
             let ranges: Vec<std::ops::Range<usize>> = (0..blocks.len())
@@ -154,11 +161,9 @@ impl Preprocessed {
                         let blocks = &blocks;
                         let pmcs = &pmcs;
                         let block_index = &block_index;
-                        move |scratch: &mut Scratch| {
+                        move || {
                             range
-                                .map(|bi| {
-                                    candidates_for_block(g, &blocks[bi], pmcs, block_index, scratch)
-                                })
+                                .map(|bi| candidates_for_block(g, &blocks[bi], pmcs, block_index))
                                 .collect::<Vec<_>>()
                         }
                     })
@@ -173,7 +178,7 @@ impl Preprocessed {
         } else {
             blocks
                 .iter()
-                .map(|b| candidates_for_block(g, b, &pmcs, &block_index, &mut scratch))
+                .map(|b| candidates_for_block(g, b, &pmcs, &block_index))
                 .collect()
         };
 
@@ -187,9 +192,7 @@ impl Preprocessed {
                 if omega.is_empty() || !omega.is_subset_of(comp) {
                     continue;
                 }
-                if let Some(children) =
-                    resolve_children(g, comp, omega, &block_index, None, &mut scratch)
-                {
+                if let Some(children) = resolve_children(g, comp, omega, &block_index, None) {
                     candidates.push(Candidate { pmc: pi, children });
                 }
             }
@@ -242,7 +245,6 @@ fn candidates_for_block(
     block: &Block,
     pmcs: &[VertexSet],
     block_index: &HashMap<Block, usize>,
-    scratch: &mut Scratch,
 ) -> Vec<Candidate> {
     let block_vertices = block.vertices();
     let mut candidates = Vec::new();
@@ -251,7 +253,7 @@ fn candidates_for_block(
             continue;
         }
         if let Some(children) =
-            resolve_children(g, &block_vertices, omega, block_index, Some(block), scratch)
+            resolve_children(g, &block_vertices, omega, block_index, Some(block))
         {
             candidates.push(Candidate { pmc: pi, children });
         }
@@ -270,41 +272,140 @@ fn resolve_children(
     omega: &VertexSet,
     block_index: &HashMap<Block, usize>,
     parent: Option<&Block>,
-    scratch: &mut Scratch,
 ) -> Option<Vec<usize>> {
-    let mut rest = scratch.take(scope.universe());
-    rest.copy_from(scope);
-    rest.difference_with(omega);
     let mut children = Vec::new();
-    let mut resolved = true;
-    for c in g.components_within(&rest) {
+    for c in g.components_within(&scope.difference(omega)) {
         let sep = g.neighborhood_of_set(&c).intersection(scope);
         let child = Block::new(sep, c);
-        if let Some(parent) = parent {
-            // Progress check: the child must be strictly smaller than the
-            // parent block so the DP's processing order is respected.
-            if child.size() >= parent.size() {
-                resolved = false;
-                break;
-            }
+        // Progress check: the child must be strictly smaller than the
+        // parent block so the DP's processing order is respected.
+        if parent.is_some_and(|parent| child.size() >= parent.size()) {
+            return None;
         }
-        match block_index.get(&child) {
-            Some(&idx) => children.push(idx),
-            None => {
-                resolved = false;
-                break;
-            }
-        }
+        children.push(*block_index.get(&child)?);
     }
-    scratch.recycle(rest);
-    resolved.then_some(children)
+    Some(children)
 }
 
-/// The stored optimal solution of one block.
-#[derive(Clone, Debug)]
-struct BlockSolution {
-    bags: Vec<VertexSet>,
+/// One entry of the DP table: the optimal cost of a full block, and the
+/// index (into the block's candidates) of the first candidate attaining it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct BlockSolution {
     cost: CostValue,
+    winner: usize,
+}
+
+/// Read access to a (partly filled) DP table: enough to price a candidate
+/// and to walk any solved block's bags back from its winner.
+#[derive(Clone, Copy)]
+pub(crate) struct Table<'a> {
+    pre: &'a Preprocessed,
+    solutions: &'a [Option<BlockSolution>],
+}
+
+impl fmt::Debug for Table<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Table")
+            .field("blocks", &self.solutions.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a> Table<'a> {
+    /// The solutions of the child blocks `blocks`, or `None` when one of
+    /// them has no solution.
+    fn children(self, blocks: &[usize]) -> Option<Vec<ChildSolution<'a>>> {
+        blocks
+            .iter()
+            .map(|&block| {
+                let solution = self.solutions[block]?;
+                Some(ChildSolution {
+                    separator: &self.pre.blocks[block].separator,
+                    vertices: &self.pre.block_vertices[block],
+                    cost: solution.cost,
+                    table: self,
+                    block,
+                })
+            })
+            .collect()
+    }
+
+    /// The first cheapest of `candidates` for `scope` among those whose
+    /// children are solved and which satisfy `constraints`.
+    fn best<K: BagCost + ?Sized>(
+        self,
+        cost: &K,
+        constraints: &Constraints,
+        scope: &VertexSet,
+        candidates: &[Candidate],
+    ) -> Option<BlockSolution> {
+        let in_scope = constraints.within(scope);
+        let mut best: Option<BlockSolution> = None;
+        for (winner, cand) in candidates.iter().enumerate() {
+            let omega = &self.pre.pmcs[cand.pmc];
+            let Some(children) = self.children(&cand.children) else {
+                continue;
+            };
+            if !in_scope.admit(omega, &children) {
+                continue;
+            }
+            let value = cost.combine(&self.pre.graph, scope, omega, &children);
+            if best.is_none_or(|b| value < b.cost) {
+                best = Some(BlockSolution {
+                    cost: value,
+                    winner,
+                });
+            }
+        }
+        best
+    }
+
+    /// The winning candidate of a solved block.
+    fn winner(self, block: usize) -> &'a Candidate {
+        let solution = self.solutions[block].expect("only solved blocks are walked");
+        &self.pre.block_candidates[block][solution.winner]
+    }
+
+    /// The bags of the triangulation `top` assembles: each child's bags in
+    /// candidate order, then `top`'s `Ω` (a post-order walk).
+    fn candidate_bags(self, top: &'a Candidate) -> impl Iterator<Item = &'a VertexSet> + 'a {
+        let pmcs = &self.pre.pmcs;
+        let mut stack = vec![(top, 0)];
+        std::iter::from_fn(move || loop {
+            let (cand, next) = stack.pop()?;
+            match cand.children.get(next) {
+                Some(&child) => {
+                    stack.push((cand, next + 1));
+                    stack.push((self.winner(child), 0));
+                }
+                None => return Some(&pmcs[cand.pmc]),
+            }
+        })
+    }
+
+    /// The bags of the triangulation stored for the solved block `block`.
+    pub(crate) fn bags(self, block: usize) -> impl Iterator<Item = &'a VertexSet> + 'a {
+        self.candidate_bags(self.winner(block))
+    }
+}
+
+/// Fills the DP table: every full block, in ascending size order, so each
+/// child is solved before its parents.
+fn solve_blocks<K: BagCost + ?Sized>(
+    pre: &Preprocessed,
+    cost: &K,
+    constraints: &Constraints,
+) -> Vec<Option<BlockSolution>> {
+    let mut solutions = vec![None; pre.blocks.len()];
+    for bi in 0..pre.blocks.len() {
+        let table = Table {
+            pre,
+            solutions: &solutions,
+        };
+        let scope = &pre.block_vertices[bi];
+        solutions[bi] = table.best(cost, constraints, scope, &pre.block_candidates[bi]);
+    }
+    solutions
 }
 
 /// Computes a minimum-cost minimal triangulation of the preprocessed graph
@@ -312,33 +413,29 @@ struct BlockSolution {
 ///
 /// Returns `None` only when the graph admits no triangulation within the
 /// preprocessing restrictions — i.e. when a width bound was used and the
-/// graph has no minimal triangulation of that width, or when every candidate
-/// has infinite cost (all of them violate the constraints compiled into the
-/// cost).
+/// graph has no minimal triangulation of that width — or when every
+/// candidate has infinite cost.
 pub fn min_triangulation<K: BagCost + ?Sized>(
     pre: &Preprocessed,
     cost: &K,
 ) -> Option<Triangulation> {
-    thread_local! {
-        // The arena only pays off when it survives across invocations (the
-        // bound on Scratch::recycle keeps it small); a fresh arena per call
-        // would be strictly slower than plain clones.
-        static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
-    }
-    SCRATCH.with(|s| min_triangulation_in(pre, cost, &mut s.borrow_mut()))
+    min_triangulation_with(pre, cost, &Constraints::none())
 }
 
-/// [`min_triangulation`] with an explicit scratch arena.
+/// `MinTriang⟨κ[I, X]⟩` (Section 6.1, Lemma 6.2): a minimum-cost minimal
+/// triangulation among those in which every include of `constraints` is a
+/// clique and no exclude is; `None` when there is none.
 ///
-/// The dynamic program assembles and discards many intermediate bag lists
-/// (one per candidate improvement); this variant routes those `VertexSet`s
-/// through `scratch` so repeated invocations — one per Lawler–Murty node in
-/// the ranked engines — stop churning the allocator. The returned
-/// [`Triangulation`] owns its sets and does not borrow the scratch.
-pub fn min_triangulation_in<K: BagCost + ?Sized>(
+/// The program decides each constraint in the blocks whose scope contains
+/// it and skips the candidates that violate it (see [`Constraints`]), so
+/// the table never holds an infeasible winner. A constraint inside no
+/// connected component — never a minimal separator — is not decided;
+/// callers passing such sets check the result with
+/// [`Constraints::satisfied_by_graph`], as the ranked enumeration does.
+pub fn min_triangulation_with<K: BagCost + ?Sized>(
     pre: &Preprocessed,
     cost: &K,
-    scratch: &mut Scratch,
+    constraints: &Constraints,
 ) -> Option<Triangulation> {
     let g = &pre.graph;
     if g.n() == 0 {
@@ -348,63 +445,26 @@ pub fn min_triangulation_in<K: BagCost + ?Sized>(
             cost: cost.cost_of_bags(g, &VertexSet::empty(0), &[]),
         });
     }
+    let solutions = solve_blocks(pre, cost, constraints);
+    let table = Table {
+        pre,
+        solutions: &solutions,
+    };
 
-    // Dynamic program over full blocks in ascending size order.
-    let mut solutions: Vec<Option<BlockSolution>> = vec![None; pre.blocks.len()];
-    for bi in 0..pre.blocks.len() {
-        let scope = &pre.block_vertices[bi];
-        let mut best: Option<BlockSolution> = None;
-        for cand in &pre.block_candidates[bi] {
-            let omega = &pre.pmcs[cand.pmc];
-            let Some(children) = gather_children(pre, &solutions, &cand.children) else {
-                continue;
-            };
-            let value = cost.combine(g, scope, omega, &children);
-            if best.as_ref().is_none_or(|b| value < b.cost) {
-                let bags = assemble_bags_in(&children, omega, scratch);
-                if let Some(replaced) = best.replace(BlockSolution { bags, cost: value }) {
-                    recycle_bags(scratch, replaced.bags);
-                }
-            }
-        }
-        solutions[bi] = best;
-    }
-
-    // Top level: per connected component, then combine.
-    let mut all_bags: Vec<VertexSet> = Vec::new();
-    for (ci, comp) in pre.components.iter().enumerate() {
-        let mut best: Option<BlockSolution> = None;
-        for cand in &pre.top_candidates[ci] {
-            let omega = &pre.pmcs[cand.pmc];
-            let Some(children) = gather_children(pre, &solutions, &cand.children) else {
-                continue;
-            };
-            let value = cost.combine(g, comp, omega, &children);
-            if best.as_ref().is_none_or(|b| value < b.cost) {
-                let bags = assemble_bags_in(&children, omega, scratch);
-                if let Some(replaced) = best.replace(BlockSolution { bags, cost: value }) {
-                    recycle_bags(scratch, replaced.bags);
-                }
-            }
-        }
-        let comp_solution = best?;
-        if comp_solution.cost.is_infinite() {
+    // Top level: the best candidate per connected component, whose bags
+    // are walked back from the table and saturated into the triangulation.
+    let mut h = g.clone();
+    for (comp, candidates) in pre.components.iter().zip(&pre.top_candidates) {
+        let best = table.best(cost, constraints, comp, candidates)?;
+        if best.cost.is_infinite() {
             return None;
         }
-        all_bags.extend(comp_solution.bags);
+        for bag in table.candidate_bags(&candidates[best.winner]) {
+            h.saturate(bag);
+        }
     }
 
-    // Materialize the triangulation and canonicalize its bags as the maximal
-    // cliques of the chordal graph.
-    let mut h = g.clone();
-    for bag in &all_bags {
-        h.saturate(bag);
-    }
-    // Everything the DP assembled is scratch material from here on.
-    recycle_bags(scratch, all_bags);
-    for sol in solutions.into_iter().flatten() {
-        recycle_bags(scratch, sol.bags);
-    }
+    // Canonicalize the bags as the maximal cliques of the chordal graph.
     let bags = maximal_cliques_chordal(&h)
         .expect("saturating the bags of a block decomposition must give a chordal graph");
     let total_cost = cost.cost_of_bags(g, &g.vertex_set(), &bags);
@@ -418,58 +478,15 @@ pub fn min_triangulation_in<K: BagCost + ?Sized>(
     })
 }
 
-fn gather_children<'a>(
-    pre: &'a Preprocessed,
-    solutions: &'a [Option<BlockSolution>],
-    child_indices: &[usize],
-) -> Option<Vec<ChildSolution<'a>>> {
-    let mut children = Vec::with_capacity(child_indices.len());
-    for &ci in child_indices {
-        let sol = solutions[ci].as_ref()?;
-        children.push(ChildSolution {
-            separator: &pre.blocks[ci].separator,
-            vertices: &pre.block_vertices[ci],
-            cost: sol.cost,
-            bags: &sol.bags,
-        });
-    }
-    Some(children)
-}
-
-/// Like cloning the child bags plus `omega` into a fresh list, but the
-/// backing sets come from the arena.
-fn assemble_bags_in(
-    children: &[ChildSolution<'_>],
-    omega: &VertexSet,
-    scratch: &mut Scratch,
-) -> Vec<VertexSet> {
-    let mut bags: Vec<VertexSet> =
-        Vec::with_capacity(1 + children.iter().map(|c| c.bags.len()).sum::<usize>());
-    for c in children {
-        for b in c.bags {
-            let mut copy = scratch.take(b.universe());
-            copy.copy_from(b);
-            bags.push(copy);
-        }
-    }
-    let mut top = scratch.take(omega.universe());
-    top.copy_from(omega);
-    bags.push(top);
-    bags
-}
-
-fn recycle_bags(scratch: &mut Scratch, bags: Vec<VertexSet>) {
-    for b in bags {
-        scratch.recycle(b);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{Constrained, Constraints, ExpBagSum, FillIn, Width, WidthThenFill};
+    use crate::cost::{CoverWidth, ExpBagSum, FillIn, WeightedWidth, Width, WidthThenFill};
     use mtr_chordal::verify::is_minimal_triangulation;
-    use mtr_graph::paper_example_graph;
+    use mtr_graph::{paper_example_graph, Hypergraph};
+    use mtr_separators::enumerate::minimal_separators;
+    use mtr_workloads::random::gnp_connected;
+    use mtr_workloads::structured::{grid, mycielski};
 
     fn cycle(n: u32) -> Graph {
         Graph::from_edges(n, &(0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>())
@@ -587,22 +604,19 @@ mod tests {
 
         // Force S1: the only satisfying minimal triangulation is H1.
         let force_s1 = Constraints::new(vec![s1.clone()], vec![]);
-        let k = Constrained::new(&FillIn, &force_s1);
-        let t = min_triangulation(&pre, &k).unwrap();
+        let t = min_triangulation_with(&pre, &FillIn, &force_s1).unwrap();
         assert_eq!(t.fill_in(&g), 3);
         assert!(force_s1.satisfied_by_graph(&t.graph));
 
         // Forbid S2: again only H1 remains.
         let forbid_s2 = Constraints::new(vec![], vec![s2.clone()]);
-        let k2 = Constrained::new(&FillIn, &forbid_s2);
-        let t2 = min_triangulation(&pre, &k2).unwrap();
+        let t2 = min_triangulation_with(&pre, &FillIn, &forbid_s2).unwrap();
         assert_eq!(t2.fill_in(&g), 3);
 
         // Forbidding both S1 and S2 leaves no minimal triangulation at all:
         // every maximal parallel set contains one of them.
         let impossible = Constraints::new(vec![], vec![s1, s2]);
-        let k3 = Constrained::new(&FillIn, &impossible);
-        assert!(min_triangulation(&pre, &k3).is_none());
+        assert!(min_triangulation_with(&pre, &FillIn, &impossible).is_none());
     }
 
     #[test]
@@ -672,5 +686,167 @@ mod tests {
         let t3 = min_triangulation(&pre3, &FillIn).unwrap();
         assert_eq!(t3.bags.len(), 3);
         assert_eq!(t3.cost, CostValue::ZERO);
+    }
+
+    /// Calls `visit(scope, Ω, children)` for every candidate of `pre`, at
+    /// block and top level, whose child blocks are solved in `solutions`.
+    fn for_each_solved_candidate(
+        pre: &Preprocessed,
+        solutions: &[Option<BlockSolution>],
+        mut visit: impl FnMut(&VertexSet, &VertexSet, &[ChildSolution<'_>]),
+    ) {
+        let table = Table { pre, solutions };
+        let blocks = pre.block_vertices.iter().zip(&pre.block_candidates);
+        let tops = pre.components.iter().zip(&pre.top_candidates);
+        for (scope, candidates) in blocks.chain(tops) {
+            for cand in candidates {
+                if let Some(children) = table.children(&cand.children) {
+                    visit(scope, &pre.pmcs[cand.pmc], &children);
+                }
+            }
+        }
+    }
+
+    /// The bags a candidate assembles: its children's bags, then `Ω`.
+    fn assembled(omega: &VertexSet, children: &[ChildSolution<'_>]) -> Vec<VertexSet> {
+        let mut bags: Vec<VertexSet> = children.iter().flat_map(|c| c.bags()).cloned().collect();
+        bags.push(omega.clone());
+        bags
+    }
+
+    #[test]
+    fn combine_matches_cost_of_bags_over_dp_tables() {
+        for g in [paper_example_graph(), cycle(6), grid(3, 3), mycielski(4)] {
+            let pre = Preprocessed::new(&g);
+            let weights =
+                WeightedWidth::new((0..g.n()).map(|v| 1.0 + f64::from(v) / 2.0).collect());
+            let mut edges = Hypergraph::new(g.n());
+            for (u, v) in g.edges() {
+                edges.add_edge_slice(&[u, v]);
+            }
+            let cover = CoverWidth::new(edges);
+            // The overriding costs, and one that prices through the
+            // default `combine`.
+            let costs: [&dyn BagCost; 6] = [
+                &Width,
+                &FillIn,
+                &ExpBagSum,
+                &weights,
+                &cover,
+                &WidthThenFill,
+            ];
+            for cost in costs {
+                let solutions = solve_blocks(&pre, cost, &Constraints::none());
+                let mut checked = 0;
+                for_each_solved_candidate(&pre, &solutions, |scope, omega, children| {
+                    let bags = assembled(omega, children);
+                    assert_eq!(
+                        cost.combine(&g, scope, omega, children),
+                        cost.cost_of_bags(&g, scope, &bags),
+                        "{} on {} vertices",
+                        cost.name(),
+                        g.n()
+                    );
+                    checked += 1;
+                });
+                assert!(checked > pre.full_blocks().len(), "{}", cost.name());
+            }
+        }
+    }
+
+    /// Test-only reference: whether `u` is a clique of `g` plus the bags,
+    /// pair by pair.
+    fn is_clique_pairwise(g: &Graph, bags: &[VertexSet], u: &VertexSet) -> bool {
+        let members = u.to_vec();
+        members.iter().enumerate().all(|(i, &x)| {
+            members[i + 1..]
+                .iter()
+                .all(|&y| g.has_edge(x, y) || bags.iter().any(|b| b.contains(x) && b.contains(y)))
+        })
+    }
+
+    /// The constraints of Lawler-tree nodes, breadth first, until at least
+    /// `limit` are known: each solved node's children are the staircase
+    /// `RankedState::expand` builds from its best member's separators.
+    fn lawler_nodes(pre: &Preprocessed, limit: usize) -> Vec<Constraints> {
+        let mut nodes = vec![Constraints::none()];
+        let mut next = 0;
+        while next < nodes.len() && nodes.len() < limit {
+            let node = nodes[next].clone();
+            next += 1;
+            let Some(best) = min_triangulation_with(pre, &FillIn, &node)
+                .filter(|best| node.satisfied_by_graph(&best.graph))
+            else {
+                continue;
+            };
+            let seps: Vec<VertexSet> = minimal_separators(&best.graph)
+                .into_iter()
+                .filter(|s| !node.include.contains(s))
+                .collect();
+            for (k, sep) in seps.iter().enumerate() {
+                let mut include = node.include.clone();
+                include.extend(seps[..k].iter().cloned());
+                let mut exclude = node.exclude.clone();
+                exclude.push(sep.clone());
+                nodes.push(Constraints::new(include, exclude));
+            }
+        }
+        nodes
+    }
+
+    #[test]
+    fn structural_constraint_rule_matches_pairwise_reference() {
+        let graphs = [
+            paper_example_graph(),
+            cycle(7),
+            grid(3, 3),
+            gnp_connected(12, 0.2, 1),
+            gnp_connected(16, 0.2, 2),
+        ];
+        for g in graphs {
+            let pre = Preprocessed::new(&g);
+            // How often the reference admits and rejects: both must occur.
+            let mut verdicts = [0usize; 2];
+            for constraints in lawler_nodes(&pre, 24) {
+                let solutions = solve_blocks(&pre, &FillIn, &constraints);
+                for_each_solved_candidate(&pre, &solutions, |scope, omega, children| {
+                    let bags = assembled(omega, children);
+                    let clique = |u: &&VertexSet| is_clique_pairwise(&g, &bags, u);
+                    let inside = |u: &&VertexSet| u.is_subset_of(scope);
+                    let reference = constraints
+                        .include
+                        .iter()
+                        .filter(inside)
+                        .all(|u| clique(&u))
+                        && !constraints
+                            .exclude
+                            .iter()
+                            .filter(inside)
+                            .any(|u| clique(&u));
+                    assert_eq!(
+                        constraints.within(scope).admit(omega, children),
+                        reference,
+                        "{constraints:?} at Ω = {omega:?}"
+                    );
+                    verdicts[usize::from(reference)] += 1;
+                });
+            }
+            assert!(verdicts.iter().all(|&v| v > 0), "{verdicts:?} on {g:?}");
+        }
+
+        // A constraint outside a block's scope is left to the blocks above:
+        // the paper graph's block ({v}, {v'}) stays solved under the include
+        // {w1, w2, w3}, which its own bags do not saturate.
+        let pre = Preprocessed::new(&paper_example_graph());
+        let include = Constraints::new(vec![VertexSet::from_slice(6, &[3, 4, 5])], vec![]);
+        let leaf = pre
+            .block_vertices
+            .iter()
+            .position(|b| *b == VertexSet::from_slice(6, &[1, 2]))
+            .expect("({v}, {v'}) is a full block");
+        assert!(include
+            .within(&pre.block_vertices[leaf])
+            .admit(&VertexSet::from_slice(6, &[1, 2]), &[]));
+        assert!(solve_blocks(&pre, &FillIn, &include)[leaf].is_some());
     }
 }

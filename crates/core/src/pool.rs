@@ -5,10 +5,10 @@
 //! partition expansion out into `k` constrained `MinTriang` calls, and the
 //! factorized engine of `mtr-reduce` advances one ranked stream per atom.
 //! [`WorkerPool`] is the execution substrate they share: a *scoped* pool of
-//! worker threads, each with its own task deque and a reusable [`Scratch`]
-//! arena, stealing from its siblings when its own deque runs dry. Compared
-//! to fixed chunking, stealing means a straggler task never idles a whole
-//! chunk's worth of workers.
+//! worker threads, each with its own task deque, stealing from its siblings
+//! when its own deque runs dry. Compared to fixed chunking, stealing means a
+//! straggler task never idles a whole chunk's worth of workers. A task is
+//! any `FnOnce() -> T`; it takes no argument.
 //!
 //! The pool is scoped ([`scoped`]) so tasks may borrow data that outlives
 //! the `scoped` call — typically the [`Preprocessed`](crate::Preprocessed)
@@ -26,14 +26,13 @@
 //!
 //! let inputs: Vec<u64> = (0..100).collect();
 //! let sum: u64 = pool::scoped(4, |p| {
-//!     let tasks = inputs.iter().map(|&x| move |_s: &mut pool::Scratch| x * x);
+//!     let tasks = inputs.iter().map(|&x| move || x * x);
 //!     let results = p.run_batch(tasks.collect()).expect("tasks do not panic");
 //!     results.into_iter().sum()
 //! });
 //! assert_eq!(sum, (0..100u64).map(|x| x * x).sum());
 //! ```
 
-use mtr_graph::VertexSet;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -58,50 +57,6 @@ fn pool_metrics() -> &'static PoolMetrics {
     })
 }
 
-/// Reusable per-worker scratch space. Every task receives `&mut Scratch`
-/// for its worker; sets recycled here are handed back by [`Scratch::take`]
-/// without reallocating, so hot per-task temporaries ([`VertexSet`]s of the
-/// host graph's universe) stop churning the allocator.
-#[derive(Debug, Default)]
-pub struct Scratch {
-    free: Vec<VertexSet>,
-    bytes_reused: usize,
-}
-
-/// Heap bytes of one bitset over `universe` vertices.
-fn set_bytes(universe: u32) -> usize {
-    (universe as usize).div_ceil(64) * std::mem::size_of::<u64>()
-}
-
-impl Scratch {
-    /// Returns a cleared set over `universe`, reusing a recycled one of the
-    /// same universe when available.
-    pub fn take(&mut self, universe: u32) -> VertexSet {
-        if let Some(pos) = self.free.iter().position(|s| s.universe() == universe) {
-            let mut s = self.free.swap_remove(pos);
-            s.clear();
-            self.bytes_reused += set_bytes(universe);
-            s
-        } else {
-            VertexSet::empty(universe)
-        }
-    }
-
-    /// Hands a set back for reuse by a later [`Scratch::take`].
-    pub fn recycle(&mut self, set: VertexSet) {
-        // Bound the arena so one huge batch cannot pin memory forever.
-        if self.free.len() < 128 {
-            self.free.push(set);
-        }
-    }
-
-    /// Total bytes of bitset storage served from the arena instead of fresh
-    /// allocations, over the lifetime of this scratch.
-    pub fn bytes_reused(&self) -> usize {
-        self.bytes_reused
-    }
-}
-
 /// Snapshot of a pool's execution counters, taken with
 /// [`WorkerPool::stats`]. These feed
 /// [`EnumerationStats`](crate::EnumerationStats) so the bench suite can
@@ -114,9 +69,6 @@ pub struct PoolStats {
     pub worker_tasks: Vec<usize>,
     /// Tasks a worker popped from a sibling's deque (work stealing events).
     pub steals: usize,
-    /// Bytes of bitset scratch served from the per-worker arenas instead of
-    /// fresh allocations, summed over all workers.
-    pub arena_bytes_reused: usize,
 }
 
 /// A task batch failed instead of completing: some task panicked (the
@@ -155,15 +107,12 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Runs one task with panic containment and the `pool.task` failpoint:
 /// an injected fault (error *or* panic outcome) and a genuine unwind both
 /// come back as `Err(TaskPanic)`; neither escapes to the calling thread.
-fn run_contained<T>(
-    task: impl FnOnce(&mut Scratch) -> T,
-    scratch: &mut Scratch,
-) -> Result<T, TaskPanic> {
+fn run_contained<T>(task: impl FnOnce() -> T) -> Result<T, TaskPanic> {
     // The failpoint runs *inside* the unwind boundary so an injected
     // panic is contained exactly like a real task panic (a worker thread
     // must never unwind — its channel slot would go missing).
     match catch_unwind(AssertUnwindSafe(|| {
-        mtr_fault::check("pool.task").map(|()| task(scratch))
+        mtr_fault::check("pool.task").map(|()| task())
     })) {
         Ok(Ok(value)) => Ok(value),
         Ok(Err(fault)) => Err(TaskPanic {
@@ -175,7 +124,7 @@ fn run_contained<T>(
     }
 }
 
-type Task<'env> = Box<dyn FnOnce(&mut Scratch) + Send + 'env>;
+type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
 
 struct PoolState {
     /// Tasks currently sitting in some deque (not yet popped).
@@ -190,9 +139,6 @@ struct Shared<'env> {
     wakeup: Condvar,
     executed: Vec<AtomicUsize>,
     steals: AtomicUsize,
-    arena_reused: AtomicUsize,
-    /// Scratch of the submitting thread (workers own theirs on their stack).
-    main_scratch: Mutex<Scratch>,
 }
 
 impl<'env> Shared<'env> {
@@ -206,8 +152,6 @@ impl<'env> Shared<'env> {
             wakeup: Condvar::new(),
             executed: (0..threads).map(|_| AtomicUsize::new(0)).collect(),
             steals: AtomicUsize::new(0),
-            arena_reused: AtomicUsize::new(0),
-            main_scratch: Mutex::new(Scratch::default()),
         }
     }
 
@@ -240,7 +184,7 @@ impl<'env> Shared<'env> {
         None
     }
 
-    fn run_task(&self, wi: usize, task: Task<'env>, from: usize, scratch: &mut Scratch) {
+    fn run_task(&self, wi: usize, task: Task<'env>, from: usize) {
         let metrics = pool_metrics();
         self.executed[wi].fetch_add(1, Ordering::Relaxed);
         metrics.tasks.incr();
@@ -248,12 +192,9 @@ impl<'env> Shared<'env> {
             self.steals.fetch_add(1, Ordering::Relaxed);
             metrics.steals.incr();
         }
-        let before = scratch.bytes_reused();
         let started = mtr_obs::clock();
-        task(scratch);
+        task();
         metrics.task_ns.record_elapsed(started);
-        self.arena_reused
-            .fetch_add(scratch.bytes_reused() - before, Ordering::Relaxed);
     }
 
     fn shutdown(&self) {
@@ -266,10 +207,9 @@ impl<'env> Shared<'env> {
 }
 
 fn worker_loop(shared: &Shared<'_>, wi: usize) {
-    let mut scratch = Scratch::default();
     loop {
         if let Some((task, from)) = shared.pop_any(wi) {
-            shared.run_task(wi, task, from, &mut scratch);
+            shared.run_task(wi, task, from);
             continue;
         }
         let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -326,7 +266,6 @@ impl<'env> WorkerPool<'env, '_> {
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
             steals: self.shared.steals.load(Ordering::Relaxed),
-            arena_bytes_reused: self.shared.arena_reused.load(Ordering::Relaxed),
         }
     }
 
@@ -349,7 +288,7 @@ impl<'env> WorkerPool<'env, '_> {
     pub fn run_batch<T, F>(&self, tasks: Vec<F>) -> Result<Vec<T>, TaskPanic>
     where
         T: Send + 'env,
-        F: FnOnce(&mut Scratch) -> T + Send + 'env,
+        F: FnOnce() -> T + Send + 'env,
     {
         let n = tasks.len();
         if n == 0 {
@@ -357,20 +296,14 @@ impl<'env> WorkerPool<'env, '_> {
         }
         let threads = self.threads();
         if threads == 1 || n == 1 {
-            let mut scratch = self
-                .shared
-                .main_scratch
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
             self.shared.executed[0].fetch_add(n, Ordering::Relaxed);
             let metrics = pool_metrics();
             metrics.tasks.add(n as u64);
-            let before = scratch.bytes_reused();
             let mut out: Vec<T> = Vec::with_capacity(n);
             let mut failed: Option<TaskPanic> = None;
             for t in tasks {
                 let started = mtr_obs::clock();
-                let result = run_contained(t, &mut scratch);
+                let result = run_contained(t);
                 metrics.task_ns.record_elapsed(started);
                 match result {
                     Ok(v) => out.push(v),
@@ -382,9 +315,6 @@ impl<'env> WorkerPool<'env, '_> {
                     }
                 }
             }
-            self.shared
-                .arena_reused
-                .fetch_add(scratch.bytes_reused() - before, Ordering::Relaxed);
             return match failed {
                 None => Ok(out),
                 Some(panic) => Err(panic),
@@ -396,8 +326,8 @@ impl<'env> WorkerPool<'env, '_> {
             let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             for (i, task) in tasks.into_iter().enumerate() {
                 let tx = tx.clone();
-                let boxed: Task<'env> = Box::new(move |scratch| {
-                    let result = run_contained(task, scratch);
+                let boxed: Task<'env> = Box::new(move || {
+                    let result = run_contained(task);
                     // The batch may have been abandoned; a closed channel is
                     // not this task's problem.
                     let _ = tx.send((i, result));
@@ -432,13 +362,7 @@ impl<'env> WorkerPool<'env, '_> {
             // Help with the batch from our own deque (and steal) before
             // blocking on results produced by the workers.
             if let Some((task, from)) = self.shared.pop_any(0) {
-                let mut scratch = self
-                    .shared
-                    .main_scratch
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                self.shared.run_task(0, task, from, &mut scratch);
-                drop(scratch);
+                self.shared.run_task(0, task, from);
                 while let Ok((i, outcome)) = rx.try_recv() {
                     take(&mut results[i], outcome, &mut failed);
                     received += 1;
@@ -523,7 +447,7 @@ mod tests {
     fn batch_results_come_back_in_task_order() {
         for threads in [1, 2, 4] {
             let doubled: Vec<usize> = scoped(threads, |p| {
-                let tasks: Vec<_> = (0..64).map(|i| move |_s: &mut Scratch| i * 2).collect();
+                let tasks: Vec<_> = (0..64).map(|i| move || i * 2).collect();
                 p.run_batch(tasks).expect("no task panics")
             });
             assert_eq!(doubled, (0..64).map(|i| i * 2).collect::<Vec<_>>());
@@ -536,7 +460,7 @@ mod tests {
         let total: u64 = scoped(3, |p| {
             let tasks: Vec<_> = data
                 .chunks(7)
-                .map(|chunk| move |_s: &mut Scratch| chunk.iter().sum::<u64>())
+                .map(|chunk| move || chunk.iter().sum::<u64>())
                 .collect();
             p.run_batch(tasks)
                 .expect("no task panics")
@@ -550,9 +474,7 @@ mod tests {
     fn multiple_batches_reuse_the_same_workers() {
         scoped(4, |p| {
             for round in 0..10usize {
-                let tasks: Vec<_> = (0..16)
-                    .map(|i| move |_s: &mut Scratch| round * 100 + i)
-                    .collect();
+                let tasks: Vec<_> = (0..16).map(|i| move || round * 100 + i).collect();
                 let out = p.run_batch(tasks).expect("no task panics");
                 assert_eq!(out.len(), 16);
                 assert_eq!(out[3], round * 100 + 3);
@@ -566,7 +488,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let out: Vec<u8> = scoped(2, |p| {
-            p.run_batch(Vec::<fn(&mut Scratch) -> u8>::new())
+            p.run_batch(Vec::<fn() -> u8>::new())
                 .expect("empty batch cannot fail")
         });
         assert!(out.is_empty());
@@ -575,7 +497,7 @@ mod tests {
     #[test]
     fn single_thread_runs_inline_and_counts_tasks() {
         scoped(1, |p| {
-            let tasks: Vec<_> = (0..5).map(|i| move |_s: &mut Scratch| i).collect();
+            let tasks: Vec<_> = (0..5).map(|i| move || i).collect();
             assert_eq!(
                 p.run_batch(tasks).expect("no task panics"),
                 vec![0, 1, 2, 3, 4]
@@ -588,27 +510,11 @@ mod tests {
     }
 
     #[test]
-    fn scratch_recycles_matching_universes() {
-        let mut scratch = Scratch::default();
-        let mut a = scratch.take(70);
-        assert_eq!(scratch.bytes_reused(), 0, "first take allocates");
-        a.insert(5);
-        scratch.recycle(a);
-        let b = scratch.take(70);
-        assert!(b.is_empty(), "recycled sets come back cleared");
-        assert_eq!(b.universe(), 70);
-        assert_eq!(scratch.bytes_reused(), 16, "two u64 words reused");
-        let c = scratch.take(10);
-        assert_eq!(c.universe(), 10);
-        assert_eq!(scratch.bytes_reused(), 16, "mismatched universe allocates");
-    }
-
-    #[test]
     fn stats_account_for_every_task() {
         let stats = scoped(4, |p| {
             let tasks: Vec<_> = (0..200)
                 .map(|i| {
-                    move |_s: &mut Scratch| {
+                    move || {
                         // Uneven work so stealing has something to balance.
                         let spins = if i % 16 == 0 { 20_000 } else { 10 };
                         (0..spins).fold(0u64, |acc, x| acc.wrapping_add(x))
@@ -624,12 +530,12 @@ mod tests {
 
     #[test]
     fn panicking_task_fails_the_batch_and_spares_the_pool() {
-        type BoxedTask = Box<dyn FnOnce(&mut Scratch) -> usize + Send>;
+        type BoxedTask = Box<dyn FnOnce() -> usize + Send>;
         for threads in [1, 2, 4] {
             let err = scoped(threads, |p| {
                 let tasks: Vec<BoxedTask> = (0..8usize)
                     .map(|i| {
-                        Box::new(move |_s: &mut Scratch| {
+                        Box::new(move || {
                             if i == 3 {
                                 panic!("task {i} exploded");
                             }
@@ -641,11 +547,7 @@ mod tests {
                 // The workers caught the unwind: the same pool still
                 // serves later batches.
                 let again = p
-                    .run_batch(
-                        (0..4)
-                            .map(|i| move |_s: &mut Scratch| i)
-                            .collect::<Vec<_>>(),
-                    )
+                    .run_batch((0..4).map(|i| move || i).collect::<Vec<_>>())
                     .expect("pool survives a panicked batch");
                 assert_eq!(again, vec![0, 1, 2, 3]);
                 err
@@ -683,7 +585,7 @@ mod tests {
             let tasks: Vec<_> = streams
                 .into_iter()
                 .map(|mut s| {
-                    move |_x: &mut Scratch| {
+                    move || {
                         let next = s.last().unwrap() + 10;
                         s.push(next);
                         s

@@ -6,18 +6,18 @@
 //! minimal separators (by Parra–Scheffler, a minimal triangulation is
 //! identified by its set of minimal separators). A priority queue holds one
 //! entry per partition, keyed by the cost of the partition's best member,
-//! which is computed by `MinTriang` under the compiled constraint cost
-//! `κ[I, X]`. Popping the cheapest entry emits its triangulation and splits
-//! the remainder of its partition into sub-partitions.
+//! which is computed by `MinTriang⟨κ[I, X]⟩` under the partition's
+//! constraints. Popping the cheapest entry emits its triangulation and
+//! splits the remainder of its partition into sub-partitions.
 //!
 //! The paper notes (Section 7.1, footnote 3) that the loop parallelizes at
 //! exactly that split: the constrained re-optimizations of one popped
 //! partition's children are independent of each other. [`RankedState`] is
 //! the one loop for both cases. It solves the children of each expansion as
-//! one batch — inline on its own scratch arena, or one task per child on a
-//! [`WorkerPool`] passed to [`RankedState::next_with_pool`] — and queues them
-//! in generation order, so the stream (ties included) and every work counter
-//! are the same at any thread count; only the delay changes.
+//! one batch — inline, or one task per child on a [`WorkerPool`] passed to
+//! [`RankedState::next_with_pool`] — and queues them in generation order,
+//! so the stream (ties included) and every work counter are the same at any
+//! thread count; only the delay changes.
 //!
 //! The enumerator is exposed as a lazy [`Iterator`], so callers get any-time
 //! top-k semantics: stop pulling and no further work is done. With a
@@ -25,9 +25,9 @@
 //! consecutive results is polynomial.
 
 use crate::cancel::CancelFlag;
-use crate::cost::{BagCost, Constrained, Constraints, CostValue};
-use crate::mintriang::{min_triangulation_in, Preprocessed, Triangulation};
-use crate::pool::{Scratch, TaskPanic, WorkerPool};
+use crate::cost::{BagCost, Constraints, CostValue};
+use crate::mintriang::{min_triangulation_with, Preprocessed, Triangulation};
+use crate::pool::{TaskPanic, WorkerPool};
 use crate::symmetry::{ModuloDedup, OrbitContext};
 use mtr_graph::{Graph, VertexSet};
 use mtr_separators::enumerate::minimal_separators;
@@ -190,16 +190,15 @@ struct Node {
 /// its partition is empty.
 type Solved = Vec<(Constraints, Option<Triangulation>)>;
 
-/// Solves `MinTriang⟨κ[I, X]⟩` for one child on `scratch`. Guards against a
-/// best solution that silently violates the constraints (line 12 of the
+/// Solves `MinTriang⟨κ[I, X]⟩` for one child. Guards against a best
+/// solution that silently violates the constraints (line 12 of the
 /// algorithm), so only non-empty partitions are ever queued.
 fn solve_child<K: BagCost + ?Sized>(
     pre: &Preprocessed,
     cost: &K,
     constraints: Constraints,
-    scratch: &mut Scratch,
 ) -> (Constraints, Option<Triangulation>) {
-    let best = min_triangulation_in(pre, &Constrained::new(cost, &constraints), scratch)
+    let best = min_triangulation_with(pre, cost, &constraints)
         .filter(|best| constraints.satisfied_by_graph(&best.graph));
     (constraints, best)
 }
@@ -221,8 +220,6 @@ pub struct RankedState {
     duplicates_skipped: usize,
     nodes_explored: usize,
     started: bool,
-    /// Per-state arena for the inline `MinTriang` re-optimizations.
-    scratch: Scratch,
     /// Incumbent-bounded pruning: when on, children whose lower bound
     /// strictly exceeds `incumbent` are enqueued [`NodeState::Deferred`]
     /// instead of being re-optimized eagerly. The emitted sequence is
@@ -296,13 +293,6 @@ impl RankedState {
         self.incumbent
     }
 
-    /// Bytes of bitset scratch this state's arena served without allocating
-    /// (inline re-optimizations only; pooled ones use the workers' arenas,
-    /// which the pool reports).
-    pub fn arena_bytes_reused(&self) -> usize {
-        self.scratch.bytes_reused()
-    }
-
     /// Number of results skipped because an identical triangulation was
     /// already emitted. Lawler–Murty partitions are disjoint, so this should
     /// always be zero; it is tracked as a self-check and asserted by the
@@ -332,7 +322,7 @@ impl RankedState {
     }
 
     /// Advances the enumeration by one result, solving every
-    /// re-optimization inline on this state's own scratch arena.
+    /// re-optimization inline.
     ///
     /// Every call on one `RankedState` must pass the *same* `pre` and
     /// `cost`; the state is meaningless across different graphs or costs.
@@ -341,23 +331,22 @@ impl RankedState {
         pre: &Preprocessed,
         cost: &K,
     ) -> Option<RankedTriangulation> {
-        self.advance(pre, cost, |scratch, batch| {
+        self.advance(pre, cost, |batch| {
             Ok(batch
                 .into_iter()
-                .map(|c| solve_child(pre, cost, c, scratch))
+                .map(|c| solve_child(pre, cost, c))
                 .collect())
         })
     }
 
     /// [`RankedState::next`] with an optional worker pool. With a pool, the
     /// children of each expansion are solved as one
-    /// [`WorkerPool::run_batch`] (one task per child, each drawing its
-    /// scratch from its worker's arena), and a deferred partition that
-    /// reaches the front is solved as a one-task batch. The stream and
-    /// every work counter are those of the inline run. A task that panics
-    /// (or an injected `pool.task` fault) stops the state: this and every
-    /// later call return `None`, and [`RankedState::failure`] reports the
-    /// message.
+    /// [`WorkerPool::run_batch`] (one task per child), and a deferred
+    /// partition that reaches the front is solved as a one-task batch. The
+    /// stream and every work counter are those of the inline run. A task
+    /// that panics (or an injected `pool.task` fault) stops the state: this
+    /// and every later call return `None`, and [`RankedState::failure`]
+    /// reports the message.
     pub fn next_with_pool<'env, K: BagCost + Sync + ?Sized>(
         &mut self,
         pre: &'env Preprocessed,
@@ -367,10 +356,10 @@ impl RankedState {
         let Some(pool) = pool else {
             return self.next(pre, cost);
         };
-        self.advance(pre, cost, |_, batch| {
+        self.advance(pre, cost, |batch| {
             let tasks: Vec<_> = batch
                 .into_iter()
-                .map(|c| move |scratch: &mut Scratch| solve_child(pre, cost, c, scratch))
+                .map(|c| move || solve_child(pre, cost, c))
                 .collect();
             pool.run_batch(tasks)
         })
@@ -387,7 +376,7 @@ impl RankedState {
     ) -> Option<RankedTriangulation>
     where
         K: BagCost + ?Sized,
-        S: FnMut(&mut Scratch, Vec<Constraints>) -> Result<Solved, TaskPanic>,
+        S: FnMut(Vec<Constraints>) -> Result<Solved, TaskPanic>,
     {
         if !self.started {
             self.started = true;
@@ -468,10 +457,10 @@ impl RankedState {
         constraints: Constraints,
         solve: &mut S,
     ) where
-        S: FnMut(&mut Scratch, Vec<Constraints>) -> Result<Solved, TaskPanic>,
+        S: FnMut(Vec<Constraints>) -> Result<Solved, TaskPanic>,
     {
         self.nodes_explored += 1;
-        let solved = match solve(&mut self.scratch, vec![constraints]) {
+        let solved = match solve(vec![constraints]) {
             Ok(solved) => solved,
             Err(panic) => {
                 self.failed = Some(panic.message);
@@ -501,7 +490,7 @@ impl RankedState {
         solve: &mut S,
     ) where
         K: BagCost + ?Sized,
-        S: FnMut(&mut Scratch, Vec<Constraints>) -> Result<Solved, TaskPanic>,
+        S: FnMut(Vec<Constraints>) -> Result<Solved, TaskPanic>,
     {
         // Minimal separators of the emitted triangulation H; those not
         // already forced define the sub-partitions.
@@ -553,7 +542,7 @@ impl RankedState {
     /// are dropped.
     fn enqueue<S>(&mut self, children: Vec<(Constraints, Option<CostValue>)>, solve: &mut S)
     where
-        S: FnMut(&mut Scratch, Vec<Constraints>) -> Result<Solved, TaskPanic>,
+        S: FnMut(Vec<Constraints>) -> Result<Solved, TaskPanic>,
     {
         // Per child, in generation order: its queue key and node, or `None`
         // while it waits for the batch.
@@ -576,7 +565,7 @@ impl RankedState {
             batch.push(constraints);
         }
         self.nodes_explored += batch.len();
-        let solved = match solve(&mut self.scratch, batch) {
+        let solved = match solve(batch) {
             Ok(solved) => solved,
             Err(panic) => {
                 self.failed = Some(panic.message);
@@ -654,12 +643,6 @@ impl<'a, K: BagCost + ?Sized> RankedEnumerator<'a, K> {
     /// The current incumbent cost, if pruning holds one.
     pub fn incumbent(&self) -> Option<CostValue> {
         self.state.incumbent()
-    }
-
-    /// Bytes of bitset scratch served from the arena; see
-    /// [`RankedState::arena_bytes_reused`].
-    pub fn arena_bytes_reused(&self) -> usize {
-        self.state.arena_bytes_reused()
     }
 
     /// Number of duplicate results skipped; see

@@ -391,9 +391,6 @@ pub struct EnumerationStats {
     /// seed, tightened to the most recently emitted cost. `None` when
     /// pruning is off or no bound was ever established.
     pub incumbent_cost: Option<f64>,
-    /// Bytes of `VertexSet` scratch served from a per-worker arena instead
-    /// of fresh allocations, summed over the session's re-optimizations.
-    pub arena_bytes_reused: usize,
     /// Order of the *discovered* automorphism group of the input graph
     /// (a subgroup of the full group when the canonical search truncated).
     /// Only [`SymmetryPolicy::ModuloSymmetry`] with a label-invariant cost
@@ -451,7 +448,6 @@ impl EnumerationStats {
                 "\"effective_threads\": {}, \"worker_tasks\": [{}], \"steals\": {}, ",
                 "\"atom_cache_hits\": {}, \"atom_cache_misses\": {}, ",
                 "\"atoms_deduped\": {}, \"cache_bytes\": {}, ",
-                "\"arena_bytes_reused\": {}, ",
                 "\"average_delay_secs\": {}, \"max_delay_secs\": {}, ",
                 "\"delays_ms\": [{}], ",
                 "\"symmetry\": {{\"group_order\": {}, \"orbits_merged\": {}, ",
@@ -482,7 +478,6 @@ impl EnumerationStats {
             self.atom_cache_misses,
             self.atoms_deduped,
             self.cache_bytes,
-            self.arena_bytes_reused,
             opt_secs(self.average_delay()),
             opt_secs(self.max_delay()),
             delays.join(", "),
@@ -1031,8 +1026,8 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
             state.enable_modulo_symmetry(ctx);
         }
         // One pool for the whole session. With more than one thread its
-        // workers (and their scratch) serve every expansion batch; a
-        // single-threaded session solves inline on the state's own scratch.
+        // workers serve every expansion batch; a single-threaded session
+        // solves inline.
         let (stop_reason, engine_failure) = pool::scoped(threads, |p| {
             let pool = (threads > 1).then_some(p);
             let mut engine = DirectEngine {
@@ -1056,9 +1051,6 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
                 let pool_stats = p.stats();
                 stats.worker_tasks = pool_stats.worker_tasks;
                 stats.steals = pool_stats.steals;
-                // Pooled re-optimizations draw on the workers' scratch, so
-                // their arena savings are reported by the pool.
-                stats.arena_bytes_reused += pool_stats.arena_bytes_reused;
             }
             (stop_reason, engine.failure())
         });
@@ -1095,12 +1087,6 @@ pub trait SessionEngine {
     /// The engine's current incumbent cost bound, if pruning is active.
     fn incumbent_cost(&self) -> Option<CostValue> {
         None
-    }
-    /// Bytes of `VertexSet` scratch the engine served from its own arena
-    /// (engines whose scratch lives in a worker pool report `0` here; the
-    /// session adds the pool's figure).
-    fn arena_bytes_reused(&self) -> usize {
-        0
     }
     /// Branches/results the engine merged into their orbit representative
     /// (`0` for engines without modulo-symmetry).
@@ -1202,7 +1188,6 @@ where
         .incumbent_cost()
         .filter(|c| c.is_finite())
         .map(|c| c.value());
-    stats.arena_bytes_reused = engine.arena_bytes_reused();
     stats.orbits_merged = engine.orbits_merged();
     metrics.nodes_pruned.add(stats.nodes_pruned as u64);
     stats.total = started.elapsed();
@@ -1246,10 +1231,6 @@ impl<K: BagCost + Sync + ?Sized> SessionEngine for DirectEngine<'_, '_, K> {
 
     fn incumbent_cost(&self) -> Option<CostValue> {
         self.state.incumbent()
-    }
-
-    fn arena_bytes_reused(&self) -> usize {
-        self.state.arena_bytes_reused()
     }
 
     fn orbits_merged(&self) -> usize {
@@ -1626,15 +1607,6 @@ mod tests {
         assert_eq!(pruned_costs, plain_costs);
         assert!(pruned.stats.nodes_pruned > 0);
         assert!(pruned.stats.nodes_explored < plain.stats.nodes_explored);
-    }
-
-    #[test]
-    fn arena_bytes_are_reported() {
-        let g = c6();
-        let sequential = Enumerate::on(&g).cost(&FillIn).run().unwrap();
-        assert!(sequential.stats.arena_bytes_reused > 0);
-        let parallel = Enumerate::on(&g).cost(&FillIn).threads(4).run().unwrap();
-        assert!(parallel.stats.arena_bytes_reused > 0);
     }
 
     #[test]

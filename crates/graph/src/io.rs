@@ -83,11 +83,12 @@ pub fn parse_pace(input: &str) -> Result<Graph, ParseError> {
             if parts.len() < 4 || parts[1] != "tw" {
                 return Err(ParseError::BadHeader(line.to_string()));
             }
+            // Vertex ids are `u32`: a count that does not fit is malformed.
             let declared = parts[2]
-                .parse::<usize>()
+                .parse::<u32>()
                 .map_err(|_| ParseError::BadHeader(line.to_string()))?;
-            n = Some(declared);
-            g = Some(Graph::new(declared as u32));
+            n = Some(declared as usize);
+            g = Some(Graph::new(declared));
             continue;
         }
         let graph = g
@@ -154,11 +155,12 @@ pub fn parse_dimacs(input: &str) -> Result<Graph, ParseError> {
             if parts.len() < 4 || (parts[1] != "edge" && parts[1] != "edges" && parts[1] != "col") {
                 return Err(ParseError::BadHeader(line.to_string()));
             }
+            // Vertex ids are `u32`: a count that does not fit is malformed.
             let declared = parts[2]
-                .parse::<usize>()
+                .parse::<u32>()
                 .map_err(|_| ParseError::BadHeader(line.to_string()))?;
-            n = Some(declared);
-            g = Some(Graph::new(declared as u32));
+            n = Some(declared as usize);
+            g = Some(Graph::new(declared));
             continue;
         }
         if let Some(rest) = line.strip_prefix('e') {
@@ -228,8 +230,8 @@ pub fn parse_edge_list(input: &str) -> Result<Graph, ParseError> {
         if let Some(rest) = line.strip_prefix("n ") {
             declared_n = Some(
                 rest.trim()
-                    .parse::<usize>()
-                    .map_err(|_| ParseError::BadHeader(line.to_string()))?,
+                    .parse::<u32>()
+                    .map_err(|_| ParseError::BadHeader(line.to_string()))? as usize,
             );
             continue;
         }
@@ -255,7 +257,13 @@ pub fn parse_edge_list(input: &str) -> Result<Graph, ParseError> {
         max_v = max_v.max(u).max(v);
         edges.push((u, v));
     }
-    let n = declared_n.unwrap_or(if edges.is_empty() { 0 } else { max_v + 1 });
+    // Vertex ids are `u32`: an index whose `max + 1` does not fit is out of
+    // range of the largest count a graph can have.
+    let n = match declared_n {
+        Some(n) => n,
+        None if edges.is_empty() => 0,
+        None => max_v.saturating_add(1).min(u32::MAX as usize),
+    };
     for (idx, &(u, v)) in edges.iter().enumerate() {
         if u >= n || v >= n {
             return Err(ParseError::VertexOutOfRange {

@@ -46,7 +46,7 @@
 use mtr_cache::{AtomKey, AtomStore, CacheEntry, CachedPrefix};
 use mtr_chordal::{maximal_cliques_chordal, minimal_separators_from_cliques};
 use mtr_core::cost::{AtomCombine, BagCost, CostValue};
-use mtr_core::pool::{Scratch, WorkerPool};
+use mtr_core::pool::WorkerPool;
 use mtr_core::ranked::{RankedQueue, Ticket};
 use mtr_core::{heuristic_incumbent, CancelFlag, Preprocessed, RankedState, RankedTriangulation};
 use mtr_graph::{Graph, Vertex};
@@ -239,14 +239,6 @@ impl AtomStream {
     fn nodes_pruned(&self) -> usize {
         match &self.engine {
             AtomEngine::Ranked { state, .. } => state.nodes_pruned(),
-            _ => 0,
-        }
-    }
-
-    /// Scratch bytes the stream's enumeration served from its arena.
-    fn arena_bytes_reused(&self) -> usize {
-        match &self.engine {
-            AtomEngine::Ranked { state, .. } => state.arena_bytes_reused(),
             _ => 0,
         }
     }
@@ -589,13 +581,6 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> FactorizedEnumerator<'a, 'p, K> {
         self.incumbent
     }
 
-    /// Scratch bytes served from the per-stream enumeration arenas.
-    pub(crate) fn arena_bytes_reused(&self) -> usize {
-        (0..self.streams.len())
-            .map(|g| self.stream(g).arena_bytes_reused())
-            .sum()
-    }
-
     fn stream(&self, group: usize) -> &AtomStream {
         self.streams[group]
             .as_ref()
@@ -670,7 +655,7 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> FactorizedEnumerator<'a, 'p, K> {
                 let mut stream = self.streams[g]
                     .take()
                     .expect("stream present outside batch");
-                move |_scratch: &mut Scratch| {
+                move || {
                     stream.ensure(j + prefetch, cost, width_bound);
                     (g, stream)
                 }
@@ -895,10 +880,6 @@ impl<K: BagCost + Sync + ?Sized> mtr_core::SessionEngine for FactorizedEnumerato
 
     fn incumbent_cost(&self) -> Option<CostValue> {
         self.incumbent()
-    }
-
-    fn arena_bytes_reused(&self) -> usize {
-        self.arena_bytes_reused()
     }
 
     fn failure(&self) -> Option<String> {

@@ -77,7 +77,7 @@ use mtr_cache::{AtomKey, AtomStore, CachedPrefix, DEFAULT_BYTE_BUDGET};
 use mtr_core::cost::{AtomCombine, BagCost};
 use mtr_core::diverse::DiversityFilter;
 use mtr_core::mintriang::Preprocessed;
-use mtr_core::pool::{self, resolve_threads, Scratch, WorkerPool};
+use mtr_core::pool::{self, resolve_threads, WorkerPool};
 use mtr_core::ranked::RankedTriangulation;
 use mtr_core::session::{
     drive_engine, heuristic_incumbent, CachePolicy, Enumerate, EnumerationError, EnumerationRun,
@@ -488,7 +488,7 @@ where
                 .iter()
                 .map(|&g| {
                     let spec = &specs[g];
-                    move |_scratch: &mut Scratch| {
+                    move || {
                         (
                             g,
                             build_stream(&spec.graph, spec.key.clone(), width_bound, deadline_at),
@@ -582,7 +582,6 @@ where
         let pool_stats = p.stats();
         stats.worker_tasks = pool_stats.worker_tasks;
         stats.steals = pool_stats.steals;
-        stats.arena_bytes_reused += pool_stats.arena_bytes_reused;
     }
     Ok(SessionReport { stats, stop_reason })
 }

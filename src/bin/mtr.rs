@@ -1352,7 +1352,6 @@ mod tests {
         assert!(json.contains("\"steals\": 0"));
         assert!(json.contains("\"nodes_pruned\": "));
         assert!(json.contains("\"incumbent_cost\": "));
-        assert!(json.contains("\"arena_bytes_reused\": "));
         assert!(json.contains("\"delays_ms\": ["));
         assert!(json.contains("\"symmetry\": {\"group_order\": "));
         assert!(json.contains("\"orbits_merged\": "));

@@ -132,16 +132,17 @@ pub mod prelude {
     pub use mtr_cache::{AtomStore, CacheStats};
     pub use mtr_chordal::{clique_tree, is_chordal, is_minimal_triangulation, TreeDecomposition};
     pub use mtr_core::cost::{
-        named_cost, BagCost, Constrained, Constraints, CostValue, CoverWidth, DynBagCost,
-        ExpBagSum, FillIn, LinearCombination, WeightedFillIn, WeightedWidth, Width, WidthThenFill,
+        named_cost, BagCost, Constraints, CostValue, CoverWidth, DynBagCost, ExpBagSum, FillIn,
+        LinearCombination, WeightedFillIn, WeightedWidth, Width, WidthThenFill,
     };
     pub use mtr_core::{
-        all_triangulations_ranked, min_triangulation, resolve_threads, top_k_proper_decompositions,
-        top_k_triangulations, CachePolicy, CancelFlag, CkkEnumerator, DecompositionRun,
-        Diversified, DiversityFilter, Enumerate, EnumerationError, EnumerationRun,
-        EnumerationStats, LbTriangSampler, PoolStats, Preprocessed, ProperDecompositionEnumerator,
-        PruningPolicy, RankedDecomposition, RankedEnumerator, RankedState, RankedTriangulation,
-        SessionReport, SimilarityMeasure, StopReason, Triangulation, WorkerPool,
+        all_triangulations_ranked, min_triangulation, min_triangulation_with, resolve_threads,
+        top_k_proper_decompositions, top_k_triangulations, CachePolicy, CancelFlag, CkkEnumerator,
+        DecompositionRun, Diversified, DiversityFilter, Enumerate, EnumerationError,
+        EnumerationRun, EnumerationStats, LbTriangSampler, PoolStats, Preprocessed,
+        ProperDecompositionEnumerator, PruningPolicy, RankedDecomposition, RankedEnumerator,
+        RankedState, RankedTriangulation, SessionReport, SimilarityMeasure, StopReason,
+        Triangulation, WorkerPool,
     };
     pub use mtr_graph::{CanonicalForm, CanonicalKey, Graph, Hypergraph, Vertex, VertexSet};
     pub use mtr_reduce::{decompose, Decomposition, EnumerateReduceExt, Reduced, ReductionLevel};

@@ -7,10 +7,9 @@ mod common;
 
 use common::arbitrary_graph;
 use mtr_core::cost::{
-    BagCost, Constrained, Constraints, CostValue, FillIn, WeightedFillIn, WeightedWidth, Width,
-    WidthThenFill,
+    BagCost, Constraints, CostValue, FillIn, WeightedFillIn, WeightedWidth, Width, WidthThenFill,
 };
-use mtr_core::{all_triangulations_ranked, Enumerate, Preprocessed};
+use mtr_core::{all_triangulations_ranked, min_triangulation_with, Enumerate, Preprocessed};
 use mtr_graph::Graph;
 use proptest::prelude::*;
 
@@ -63,47 +62,39 @@ proptest! {
         }
     }
 
-    /// Lemma 6.2 semantics: the compiled cost κ[I, X] equals the inner cost
-    /// on triangulations satisfying the constraints and ∞ on the others, and
-    /// the constrained enumeration returns exactly the satisfying subset in
-    /// the same relative order.
+    /// `MinTriang⟨κ[I, X]⟩` against the ranked stream as an oracle (Lemma
+    /// 6.2): under include-only, exclude-only and mixed constraint sets
+    /// built from the first result's separators, `min_triangulation_with`
+    /// finds a satisfying triangulation exactly when the stream has one,
+    /// and its cost is that of the first satisfying member.
     #[test]
-    fn constrained_cost_partitions_the_space(g in arbitrary_graph(4, 7)) {
+    fn constrained_solve_matches_ranked_oracle(g in arbitrary_graph(4, 7)) {
         let pre = Preprocessed::new(&g);
         let all = all_triangulations_ranked(&g, &FillIn);
         prop_assume!(!all.is_empty());
-        // Pick the first result's first separator as the include constraint
-        // and its second (if any) as the exclude constraint.
         let seps = &all[0].minimal_separators;
         prop_assume!(!seps.is_empty());
-        let include = vec![seps[0].clone()];
-        let exclude = if seps.len() > 1 { vec![seps[1].clone()] } else { Vec::new() };
-        let constraints = Constraints::new(include, exclude);
-        let constrained = Constrained::new(&FillIn, &constraints);
-        let scope = g.vertex_set();
-        // Point-wise semantics.
-        for t in &all {
-            let value = constrained.cost_of_bags(&g, &scope, &t.bags);
-            if constraints.satisfied_by_graph(&t.triangulation) {
-                prop_assert_eq!(value, CostValue::from_usize(t.fill_in(&g)));
-            } else {
-                prop_assert!(value.is_infinite());
+        let mut sets = vec![Constraints::new(seps.clone(), Vec::new())];
+        for (k, sep) in seps.iter().enumerate() {
+            sets.push(Constraints::new(vec![sep.clone()], Vec::new()));
+            sets.push(Constraints::new(Vec::new(), vec![sep.clone()]));
+            // The staircase child a Lawler expansion of the first result
+            // builds: the earlier separators included, this one excluded.
+            sets.push(Constraints::new(seps[..k].to_vec(), vec![sep.clone()]));
+        }
+        for constraints in &sets {
+            let oracle = all.iter().find(|t| constraints.satisfied_by_graph(&t.triangulation));
+            let best = min_triangulation_with(&pre, &FillIn, constraints);
+            prop_assert_eq!(
+                best.as_ref().map(|t| t.cost),
+                oracle.map(|t| t.cost),
+                "{:?}",
+                constraints
+            );
+            if let Some(best) = best {
+                prop_assert!(constraints.satisfied_by_graph(&best.graph));
+                prop_assert_eq!(best.cost, CostValue::from_usize(best.fill_in(&g)));
             }
-        }
-        // Enumerating with the compiled cost yields exactly the satisfying
-        // triangulations (the infinite-cost ones are suppressed by the
-        // enumerator), in non-decreasing fill order.
-        let constrained_results = Enumerate::with(&pre).cost(&constrained).run().unwrap().results;
-        let expected: Vec<_> = all
-            .iter()
-            .filter(|t| constraints.satisfied_by_graph(&t.triangulation))
-            .collect();
-        prop_assert_eq!(constrained_results.len(), expected.len());
-        for w in constrained_results.windows(2) {
-            prop_assert!(w[0].cost <= w[1].cost);
-        }
-        for r in &constrained_results {
-            prop_assert!(constraints.satisfied_by_graph(&r.triangulation));
         }
     }
 
