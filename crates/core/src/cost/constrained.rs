@@ -23,8 +23,17 @@
 //! and one of `Ω ∖ S_i`. So `u` is a clique of the assembled triangulation
 //! exactly when `u ⊆ Ω`, or when `u` lies in one child, which has already
 //! decided it. Constraints not inside `scope` are left to the blocks above.
+//!
+//! **Where it runs.** The rule depends only on the separator and the
+//! candidate, never on the costs, so it is evaluated once per separator
+//! and candidate ([`Constraints::keeps`]) into two bitsets over all
+//! candidates: the candidates that keep the separator as an include, and
+//! those that keep it as an exclude. `Preprocessed` builds them for each
+//! minimal separator on first use and keeps them; a solve intersects the
+//! bitsets of its constraints and visits only the candidates left. A
+//! constraint that is not one of the indexed minimal separators gets its
+//! bitsets built for that solve, by the same rule.
 
-use super::ChildSolution;
 use mtr_graph::{Graph, VertexSet};
 
 /// A set of inclusion/exclusion constraints over minimal separators.
@@ -61,32 +70,35 @@ impl Constraints {
         self.include.iter().all(|u| h.is_clique(u)) && self.exclude.iter().all(|u| !h.is_clique(u))
     }
 
-    /// The constraints inside `scope`: the ones a block over `scope`
-    /// decides.
-    pub(crate) fn within(&self, scope: &VertexSet) -> InScope<'_> {
-        let inside = |u: &&VertexSet| u.is_subset_of(scope);
-        InScope {
-            include: self.include.iter().filter(inside).collect(),
-            exclude: self.exclude.iter().filter(inside).collect(),
+    /// Whether a candidate `omega` of a block over `scope`, whose child
+    /// blocks have the vertex sets `children`, keeps the separator `u` as
+    /// an include and as an exclude: the rule of the module docs.
+    pub(crate) fn keeps<'a>(
+        u: &VertexSet,
+        scope: &VertexSet,
+        omega: &VertexSet,
+        mut children: impl Iterator<Item = &'a VertexSet>,
+    ) -> Keeps {
+        if !u.is_subset_of(scope) {
+            return Keeps {
+                include: true,
+                exclude: true,
+            };
+        }
+        let in_omega = u.is_subset_of(omega);
+        Keeps {
+            include: in_omega || children.any(|c| u.is_subset_of(c)),
+            exclude: !in_omega,
         }
     }
 }
 
-/// The constraints inside one block's scope (see the module docs).
-pub(crate) struct InScope<'a> {
-    include: Vec<&'a VertexSet>,
-    exclude: Vec<&'a VertexSet>,
-}
-
-impl InScope<'_> {
-    /// Whether the candidate `omega` with the solved `children` keeps every
-    /// constraint: the rule of the module docs.
-    pub(crate) fn admit(&self, omega: &VertexSet, children: &[ChildSolution<'_>]) -> bool {
-        self.exclude.iter().all(|u| !u.is_subset_of(omega))
-            && self.include.iter().all(|u| {
-                u.is_subset_of(omega) || children.iter().any(|c| u.is_subset_of(c.vertices))
-            })
-    }
+/// How one candidate decides one separator (see [`Constraints::keeps`]).
+pub(crate) struct Keeps {
+    /// The candidate keeps the separator as an include.
+    pub(crate) include: bool,
+    /// The candidate keeps the separator as an exclude.
+    pub(crate) exclude: bool,
 }
 
 #[cfg(test)]

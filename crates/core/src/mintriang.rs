@@ -9,8 +9,9 @@
 //! best `Ω ∈ PMC(G)` for the whole graph. Any split-monotone bag cost can be
 //! plugged in. The inclusion/exclusion constraints `[I, X]` of the ranked
 //! enumeration are decided inside the program, from block structure alone
-//! (see [`crate::cost::Constraints`]): a candidate that violates one is
-//! skipped rather than priced.
+//! (see [`crate::cost::Constraints`]): each minimal separator carries a
+//! bitset of the candidates that keep it, and a solve visits only the
+//! candidates every one of its constraints keeps.
 //!
 //! The table holds back-pointers only: per full block, its optimal cost and
 //! the index of the candidate that attains it. Bags are walked from those
@@ -29,8 +30,11 @@ use mtr_chordal::cliques::maximal_cliques_chordal;
 use mtr_graph::{Graph, VertexSet};
 use mtr_pmc::enumerate::{potential_maximal_cliques, potential_maximal_cliques_bounded};
 use mtr_separators::blocks::{full_blocks, Block};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// A minimal triangulation together with its bag structure and cost.
 #[derive(Clone, Debug)]
@@ -78,24 +82,41 @@ struct Candidate {
     children: Vec<usize>,
 }
 
+/// The candidates one separator `u` admits, as an include and as an
+/// exclude, by the rule of [`Constraints`]: sets over the numbering of
+/// [`Preprocessed::first_candidate`].
+#[derive(Clone, Debug)]
+struct SeparatorMasks {
+    include: VertexSet,
+    exclude: VertexSet,
+}
+
 /// The cost-independent initialization shared by all `MinTriang` /
 /// `RankedTriang` invocations on one graph: minimal separators, potential
 /// maximal cliques, full blocks, and the candidate structure of the dynamic
 /// program.
+///
+/// The program has one subproblem per full block, in processing order,
+/// then one per connected component (the top level); each owns one entry
+/// of a solve's table.
 #[derive(Clone, Debug)]
 pub struct Preprocessed {
     graph: Graph,
     minimal_separators: Vec<VertexSet>,
+    /// The position of each minimal separator in `minimal_separators`.
+    separator_index: HashMap<VertexSet, usize>,
     pmcs: Vec<VertexSet>,
     blocks: Vec<Block>,
-    /// `blocks[i].vertices()`, cached (used as the DP scope of block `i`).
-    block_vertices: Vec<VertexSet>,
-    /// For every full block, the candidate PMCs (with their child blocks).
-    block_candidates: Vec<Vec<Candidate>>,
-    /// Connected components of the graph.
-    components: Vec<VertexSet>,
-    /// For every connected component, the top-level candidates.
-    top_candidates: Vec<Vec<Candidate>>,
+    /// The scope of every subproblem: `S ∪ C` for a block, the vertex set
+    /// of a component at the top level.
+    scopes: Vec<VertexSet>,
+    /// For every subproblem, its candidate PMCs (with their child blocks).
+    candidates: Vec<Vec<Candidate>>,
+    /// Where each subproblem's candidates start in one numbering of all
+    /// candidates, followed by the total count.
+    first_candidate: Vec<usize>,
+    /// Per minimal separator, its candidate masks, built on first use.
+    masks: Vec<OnceLock<SeparatorMasks>>,
     /// The width bound used during preprocessing, if any.
     width_bound: Option<usize>,
 }
@@ -137,7 +158,6 @@ impl Preprocessed {
             None => minimal_separators,
         };
         let blocks = full_blocks(g, &minimal_separators);
-        let block_vertices: Vec<VertexSet> = blocks.iter().map(Block::vertices).collect();
         let block_index: HashMap<Block, usize> = blocks
             .iter()
             .enumerate()
@@ -148,7 +168,7 @@ impl Preprocessed {
         // child blocks induced by the components of (S ∪ C) \ Ω. Blocks are
         // independent of each other, so with `threads > 1` the resolution
         // runs as chunked work-stealing pool tasks.
-        let block_candidates: Vec<Vec<Candidate>> = if threads > 1 && blocks.len() > 1 {
+        let mut candidates: Vec<Vec<Candidate>> = if threads > 1 && blocks.len() > 1 {
             let chunk = blocks.len().div_ceil(threads * 4).max(1);
             let ranges: Vec<std::ops::Range<usize>> = (0..blocks.len())
                 .step_by(chunk)
@@ -184,30 +204,42 @@ impl Preprocessed {
 
         // Top-level candidates per connected component (few components, so
         // this stays sequential).
-        let components = g.components();
-        let mut top_candidates: Vec<Vec<Candidate>> = Vec::with_capacity(components.len());
-        for comp in &components {
-            let mut candidates = Vec::new();
+        let mut scopes: Vec<VertexSet> = blocks.iter().map(Block::vertices).collect();
+        for comp in g.components() {
+            let mut top = Vec::new();
             for (pi, omega) in pmcs.iter().enumerate() {
-                if omega.is_empty() || !omega.is_subset_of(comp) {
+                if omega.is_empty() || !omega.is_subset_of(&comp) {
                     continue;
                 }
-                if let Some(children) = resolve_children(g, comp, omega, &block_index, None) {
-                    candidates.push(Candidate { pmc: pi, children });
+                if let Some(children) = resolve_children(g, &comp, omega, &block_index, None) {
+                    top.push(Candidate { pmc: pi, children });
                 }
             }
-            top_candidates.push(candidates);
+            candidates.push(top);
+            scopes.push(comp);
         }
 
+        let first_candidate = std::iter::once(0)
+            .chain(candidates.iter().scan(0, |total, c| {
+                *total += c.len();
+                Some(*total)
+            }))
+            .collect();
+        let separator_index = minimal_separators
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.clone(), i))
+            .collect();
         Preprocessed {
             graph: g.clone(),
+            masks: minimal_separators.iter().map(|_| OnceLock::new()).collect(),
+            separator_index,
             minimal_separators,
             pmcs,
             blocks,
-            block_vertices,
-            block_candidates,
-            components,
-            top_candidates,
+            scopes,
+            candidates,
+            first_candidate,
             width_bound,
         }
     }
@@ -235,6 +267,62 @@ impl Preprocessed {
     /// The width bound used during preprocessing, if any.
     pub fn width_bound(&self) -> Option<usize> {
         self.width_bound
+    }
+
+    /// The candidates of subproblem `i`, in its slice of the numbering.
+    fn candidate_range(&self, i: usize) -> Range<usize> {
+        self.first_candidate[i]..self.first_candidate[i + 1]
+    }
+
+    /// The number of candidates, over all subproblems.
+    fn candidate_count(&self) -> u32 {
+        let total = self.first_candidate[self.scopes.len()];
+        u32::try_from(total).expect("candidates are numbered by PMC and block indices")
+    }
+
+    /// The masks of `u`: an indexed separator's are built once and kept,
+    /// any other set's are built for this call.
+    fn masks(&self, u: &VertexSet) -> Cow<'_, SeparatorMasks> {
+        match self.separator_index.get(u) {
+            Some(&i) => Cow::Borrowed(self.masks[i].get_or_init(|| self.build_masks(u))),
+            None => Cow::Owned(self.build_masks(u)),
+        }
+    }
+
+    /// Evaluates the rule of [`Constraints`] for `u` on every candidate.
+    fn build_masks(&self, u: &VertexSet) -> SeparatorMasks {
+        let total = self.candidate_count();
+        let mut masks = SeparatorMasks {
+            include: VertexSet::empty(total),
+            exclude: VertexSet::empty(total),
+        };
+        let all = self.scopes.iter().zip(&self.candidates);
+        let numbered =
+            all.flat_map(|(scope, candidates)| candidates.iter().map(move |c| (scope, c)));
+        for (i, (scope, cand)) in (0..).zip(numbered) {
+            let children = cand.children.iter().map(|&c| &self.scopes[c]);
+            let keeps = Constraints::keeps(u, scope, &self.pmcs[cand.pmc], children);
+            if keeps.include {
+                masks.include.insert(i);
+            }
+            if keeps.exclude {
+                masks.exclude.insert(i);
+            }
+        }
+        masks
+    }
+
+    /// The candidates that keep every constraint: the intersection of the
+    /// constraints' masks.
+    fn admitted(&self, constraints: &Constraints) -> VertexSet {
+        let mut admitted = VertexSet::full(self.candidate_count());
+        for u in &constraints.include {
+            admitted.intersect_with(&self.masks(u).include);
+        }
+        for u in &constraints.exclude {
+            admitted.intersect_with(&self.masks(u).exclude);
+        }
+        admitted
     }
 }
 
@@ -287,12 +375,25 @@ fn resolve_children(
     Some(children)
 }
 
-/// One entry of the DP table: the optimal cost of a full block, and the
-/// index (into the block's candidates) of the first candidate attaining it.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct BlockSolution {
+/// One entry of the DP table: the optimal cost of a subproblem, and the
+/// index (into its candidates) of the first candidate attaining it, or
+/// [`Entry::UNSOLVED`] when no admitted candidate has solved children.
+/// 16 bytes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Entry {
     cost: CostValue,
-    winner: usize,
+    winner: u32,
+}
+
+impl Entry {
+    const UNSOLVED: Entry = Entry {
+        cost: CostValue::INFINITE,
+        winner: u32::MAX,
+    };
+
+    fn is_solved(self) -> bool {
+        self.winner != u32::MAX
+    }
 }
 
 /// Read access to a (partly filled) DP table: enough to price a candidate
@@ -300,13 +401,13 @@ pub(crate) struct BlockSolution {
 #[derive(Clone, Copy)]
 pub(crate) struct Table<'a> {
     pre: &'a Preprocessed,
-    solutions: &'a [Option<BlockSolution>],
+    entries: &'a [Entry],
 }
 
 impl fmt::Debug for Table<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Table")
-            .field("blocks", &self.solutions.len())
+            .field("entries", &self.entries.len())
             .finish_non_exhaustive()
     }
 }
@@ -318,11 +419,11 @@ impl<'a> Table<'a> {
         blocks
             .iter()
             .map(|&block| {
-                let solution = self.solutions[block]?;
-                Some(ChildSolution {
+                let entry = self.entries[block];
+                entry.is_solved().then(|| ChildSolution {
                     separator: &self.pre.blocks[block].separator,
-                    vertices: &self.pre.block_vertices[block],
-                    cost: solution.cost,
+                    vertices: &self.pre.scopes[block],
+                    cost: entry.cost,
                     table: self,
                     block,
                 })
@@ -330,47 +431,44 @@ impl<'a> Table<'a> {
             .collect()
     }
 
-    /// The first cheapest of `candidates` for `scope` among those whose
-    /// children are solved and which satisfy `constraints`.
-    fn best<K: BagCost + ?Sized>(
-        self,
-        cost: &K,
-        constraints: &Constraints,
-        scope: &VertexSet,
-        candidates: &[Candidate],
-    ) -> Option<BlockSolution> {
-        let in_scope = constraints.within(scope);
-        let mut best: Option<BlockSolution> = None;
-        for (winner, cand) in candidates.iter().enumerate() {
-            let omega = &self.pre.pmcs[cand.pmc];
+    /// The first cheapest of subproblem `i`'s `admitted` candidates whose
+    /// children are solved.
+    fn best<K: BagCost + ?Sized>(self, cost: &K, admitted: &VertexSet, i: usize) -> Entry {
+        let pre = self.pre;
+        let first = pre.first_candidate[i];
+        let mut best = Entry::UNSOLVED;
+        let visited = pre
+            .candidate_range(i)
+            .filter(|&index| admitted.contains(index as u32));
+        for index in visited {
+            let cand = &pre.candidates[i][index - first];
             let Some(children) = self.children(&cand.children) else {
                 continue;
             };
-            if !in_scope.admit(omega, &children) {
-                continue;
-            }
-            let value = cost.combine(&self.pre.graph, scope, omega, &children);
-            if best.is_none_or(|b| value < b.cost) {
-                best = Some(BlockSolution {
+            let value = cost.combine(&pre.graph, &pre.scopes[i], &pre.pmcs[cand.pmc], &children);
+            if !best.is_solved() || value < best.cost {
+                best = Entry {
                     cost: value,
-                    winner,
-                });
+                    winner: (index - first) as u32,
+                };
             }
         }
         best
     }
 
-    /// The winning candidate of a solved block.
-    fn winner(self, block: usize) -> &'a Candidate {
-        let solution = self.solutions[block].expect("only solved blocks are walked");
-        &self.pre.block_candidates[block][solution.winner]
+    /// The winning candidate of a solved subproblem.
+    fn winner(self, i: usize) -> &'a Candidate {
+        let entry = self.entries[i];
+        assert!(entry.is_solved(), "only solved subproblems are walked");
+        &self.pre.candidates[i][entry.winner as usize]
     }
 
-    /// The bags of the triangulation `top` assembles: each child's bags in
-    /// candidate order, then `top`'s `Ω` (a post-order walk).
-    fn candidate_bags(self, top: &'a Candidate) -> impl Iterator<Item = &'a VertexSet> + 'a {
+    /// The bags of the triangulation stored for the solved subproblem `i`:
+    /// each child's bags in candidate order, then the winner's `Ω` (a
+    /// post-order walk).
+    pub(crate) fn bags(self, i: usize) -> impl Iterator<Item = &'a VertexSet> + 'a {
         let pmcs = &self.pre.pmcs;
-        let mut stack = vec![(top, 0)];
+        let mut stack = vec![(self.winner(i), 0)];
         std::iter::from_fn(move || loop {
             let (cand, next) = stack.pop()?;
             match cand.children.get(next) {
@@ -382,30 +480,70 @@ impl<'a> Table<'a> {
             }
         })
     }
-
-    /// The bags of the triangulation stored for the solved block `block`.
-    pub(crate) fn bags(self, block: usize) -> impl Iterator<Item = &'a VertexSet> + 'a {
-        self.candidate_bags(self.winner(block))
-    }
 }
 
-/// Fills the DP table: every full block, in ascending size order, so each
-/// child is solved before its parents.
-fn solve_blocks<K: BagCost + ?Sized>(
+/// Fills the DP table under `constraints`: every full block in ascending
+/// size order, so each child is solved before its parents, then the top
+/// level of every connected component.
+fn solve<K: BagCost + ?Sized>(
     pre: &Preprocessed,
     cost: &K,
     constraints: &Constraints,
-) -> Vec<Option<BlockSolution>> {
-    let mut solutions = vec![None; pre.blocks.len()];
-    for bi in 0..pre.blocks.len() {
+) -> Vec<Entry> {
+    let admitted = pre.admitted(constraints);
+    let mut entries = Vec::with_capacity(pre.scopes.len());
+    for i in 0..pre.scopes.len() {
         let table = Table {
             pre,
-            solutions: &solutions,
+            entries: &entries,
         };
-        let scope = &pre.block_vertices[bi];
-        solutions[bi] = table.best(cost, constraints, scope, &pre.block_candidates[bi]);
+        let entry = table.best(cost, &admitted, i);
+        entries.push(entry);
     }
-    solutions
+    entries
+}
+
+/// The triangulation the top-level winners of a solved table assemble:
+/// their bags, walked back from the table and saturated into the graph.
+/// `None` when a component has no finite solution, or the total cost is
+/// infinite.
+fn triangulation<K: BagCost + ?Sized>(
+    pre: &Preprocessed,
+    cost: &K,
+    entries: &[Entry],
+) -> Option<Triangulation> {
+    let g = &pre.graph;
+    if g.n() == 0 {
+        return Some(Triangulation {
+            graph: Graph::new(0),
+            bags: Vec::new(),
+            cost: cost.cost_of_bags(g, &VertexSet::empty(0), &[]),
+        });
+    }
+    let top = &entries[pre.blocks.len()..];
+    if top.iter().any(|e| !e.is_solved() || e.cost.is_infinite()) {
+        return None;
+    }
+    let table = Table { pre, entries };
+    let mut h = g.clone();
+    for i in pre.blocks.len()..pre.scopes.len() {
+        for bag in table.bags(i) {
+            h.saturate(bag);
+        }
+    }
+
+    // Canonicalize the bags as the maximal cliques of the chordal graph.
+    let bags = maximal_cliques_chordal(&h)
+        .expect("saturating the bags of a block decomposition must give a chordal graph");
+    let total_cost = cost.cost_of_bags(g, &g.vertex_set(), &bags);
+    if total_cost.is_infinite() {
+        return None;
+    }
+    Some(Triangulation {
+        graph: h,
+        bags,
+        cost: total_cost,
+    })
 }
 
 /// Computes a minimum-cost minimal triangulation of the preprocessed graph
@@ -427,8 +565,8 @@ pub fn min_triangulation<K: BagCost + ?Sized>(
 /// clique and no exclude is; `None` when there is none.
 ///
 /// The program decides each constraint in the blocks whose scope contains
-/// it and skips the candidates that violate it (see [`Constraints`]), so
-/// the table never holds an infeasible winner. A constraint inside no
+/// it and visits only the candidates that keep it (see [`Constraints`]),
+/// so the table never holds an infeasible winner. A constraint inside no
 /// connected component — never a minimal separator — is not decided;
 /// callers passing such sets check the result with
 /// [`Constraints::satisfied_by_graph`], as the ranked enumeration does.
@@ -437,45 +575,7 @@ pub fn min_triangulation_with<K: BagCost + ?Sized>(
     cost: &K,
     constraints: &Constraints,
 ) -> Option<Triangulation> {
-    let g = &pre.graph;
-    if g.n() == 0 {
-        return Some(Triangulation {
-            graph: Graph::new(0),
-            bags: Vec::new(),
-            cost: cost.cost_of_bags(g, &VertexSet::empty(0), &[]),
-        });
-    }
-    let solutions = solve_blocks(pre, cost, constraints);
-    let table = Table {
-        pre,
-        solutions: &solutions,
-    };
-
-    // Top level: the best candidate per connected component, whose bags
-    // are walked back from the table and saturated into the triangulation.
-    let mut h = g.clone();
-    for (comp, candidates) in pre.components.iter().zip(&pre.top_candidates) {
-        let best = table.best(cost, constraints, comp, candidates)?;
-        if best.cost.is_infinite() {
-            return None;
-        }
-        for bag in table.candidate_bags(&candidates[best.winner]) {
-            h.saturate(bag);
-        }
-    }
-
-    // Canonicalize the bags as the maximal cliques of the chordal graph.
-    let bags = maximal_cliques_chordal(&h)
-        .expect("saturating the bags of a block decomposition must give a chordal graph");
-    let total_cost = cost.cost_of_bags(g, &g.vertex_set(), &bags);
-    if total_cost.is_infinite() {
-        return None;
-    }
-    Some(Triangulation {
-        graph: h,
-        bags,
-        cost: total_cost,
-    })
+    triangulation(pre, cost, &solve(pre, cost, constraints))
 }
 
 #[cfg(test)]
@@ -688,20 +788,19 @@ mod tests {
         assert_eq!(t3.cost, CostValue::ZERO);
     }
 
-    /// Calls `visit(scope, Ω, children)` for every candidate of `pre`, at
-    /// block and top level, whose child blocks are solved in `solutions`.
+    /// Calls `visit(index, scope, Ω, children)` for every candidate of
+    /// `pre`, at block and top level, whose child blocks are solved in
+    /// `entries`; `index` is the candidate's bit in the masks.
     fn for_each_solved_candidate(
         pre: &Preprocessed,
-        solutions: &[Option<BlockSolution>],
-        mut visit: impl FnMut(&VertexSet, &VertexSet, &[ChildSolution<'_>]),
+        entries: &[Entry],
+        mut visit: impl FnMut(usize, &VertexSet, &VertexSet, &[ChildSolution<'_>]),
     ) {
-        let table = Table { pre, solutions };
-        let blocks = pre.block_vertices.iter().zip(&pre.block_candidates);
-        let tops = pre.components.iter().zip(&pre.top_candidates);
-        for (scope, candidates) in blocks.chain(tops) {
-            for cand in candidates {
+        let table = Table { pre, entries };
+        for (i, scope) in pre.scopes.iter().enumerate() {
+            for (index, cand) in pre.candidate_range(i).zip(&pre.candidates[i]) {
                 if let Some(children) = table.children(&cand.children) {
-                    visit(scope, &pre.pmcs[cand.pmc], &children);
+                    visit(index, scope, &pre.pmcs[cand.pmc], &children);
                 }
             }
         }
@@ -736,9 +835,9 @@ mod tests {
                 &WidthThenFill,
             ];
             for cost in costs {
-                let solutions = solve_blocks(&pre, cost, &Constraints::none());
+                let entries = solve(&pre, cost, &Constraints::none());
                 let mut checked = 0;
-                for_each_solved_candidate(&pre, &solutions, |scope, omega, children| {
+                for_each_solved_candidate(&pre, &entries, |_, scope, omega, children| {
                     let bags = assembled(omega, children);
                     assert_eq!(
                         cost.combine(&g, scope, omega, children),
@@ -808,8 +907,9 @@ mod tests {
             // How often the reference admits and rejects: both must occur.
             let mut verdicts = [0usize; 2];
             for constraints in lawler_nodes(&pre, 24) {
-                let solutions = solve_blocks(&pre, &FillIn, &constraints);
-                for_each_solved_candidate(&pre, &solutions, |scope, omega, children| {
+                let admitted = pre.admitted(&constraints);
+                let entries = solve(&pre, &FillIn, &constraints);
+                for_each_solved_candidate(&pre, &entries, |index, scope, omega, children| {
                     let bags = assembled(omega, children);
                     let clique = |u: &&VertexSet| is_clique_pairwise(&g, &bags, u);
                     let inside = |u: &&VertexSet| u.is_subset_of(scope);
@@ -824,7 +924,7 @@ mod tests {
                             .filter(inside)
                             .any(|u| clique(&u));
                     assert_eq!(
-                        constraints.within(scope).admit(omega, children),
+                        admitted.contains(index as u32),
                         reference,
                         "{constraints:?} at Ω = {omega:?}"
                     );
@@ -840,13 +940,14 @@ mod tests {
         let pre = Preprocessed::new(&paper_example_graph());
         let include = Constraints::new(vec![VertexSet::from_slice(6, &[3, 4, 5])], vec![]);
         let leaf = pre
-            .block_vertices
+            .scopes
             .iter()
             .position(|b| *b == VertexSet::from_slice(6, &[1, 2]))
             .expect("({v}, {v'}) is a full block");
-        assert!(include
-            .within(&pre.block_vertices[leaf])
-            .admit(&VertexSet::from_slice(6, &[1, 2]), &[]));
-        assert!(solve_blocks(&pre, &FillIn, &include)[leaf].is_some());
+        let admitted = pre.admitted(&include);
+        assert!(pre
+            .candidate_range(leaf)
+            .all(|index| admitted.contains(index as u32)));
+        assert!(solve(&pre, &FillIn, &include)[leaf].is_solved());
     }
 }
