@@ -133,6 +133,10 @@ pub fn named_cost(name: &str) -> Option<Box<DynBagCost>> {
 ///
 /// Implementations must be *split monotone* for the optimizer to be exact;
 /// all the costs shipped in this module are (see Section 3 of the paper).
+/// The ranked enumeration relies on it a second time: a Lawler child keeps
+/// its parent's table entries wherever its new constraints leave the
+/// winner in place, which is exact only because a cheaper sub-solution
+/// never makes a candidate costlier.
 pub trait BagCost {
     /// A short human-readable name used in reports.
     fn name(&self) -> String;

@@ -13,10 +13,32 @@
 //! bitset of the candidates that keep it, and a solve visits only the
 //! candidates every one of its constraints keeps.
 //!
-//! The table holds back-pointers only: per full block, its optimal cost and
-//! the index of the candidate that attains it. Bags are walked from those
-//! back-pointers when they are needed — once for the root winner, and for
-//! costs that price candidates through the default [`BagCost::combine`].
+//! The table holds back-pointers only: per full block and per connected
+//! component, its optimal cost and the index of the first candidate that
+//! attains it, 16 bytes an entry. Bags are walked from those back-pointers
+//! when they are needed — for the top-level winners, and for costs that
+//! price candidates through the default [`BagCost::combine`].
+//!
+//! **Tables across Lawler nodes.** A queued node of the ranked enumeration
+//! keeps its table in place of its triangulation, and each of its children
+//! is solved from it: the child's constraints are the parent's plus a few
+//! more. An entry keeps the parent's cost and winner unless the child's
+//! constraints rule the winner out, or an entry below the winner *changed*
+//! — its cost or winner differs from the parent's, or an entry below its
+//! own winner changed. Otherwise it is decided again over its admitted
+//! candidates, as in a solve from scratch. Keeping an entry is exact:
+//!
+//! * new constraints only remove admitted candidates, and by split
+//!   monotonicity only raise the value of the rest;
+//! * a kept winner has the same children with the same bags, so its value
+//!   is unchanged;
+//! * every candidate before it was strictly costlier in the parent and
+//!   still is, every later one is no cheaper, so it is still the first
+//!   minimum.
+//!
+//! Bags matter as well as costs, for costs that use the default `combine`.
+//! The rule relies on the same split-monotone contract the program itself
+//! does; a cost that breaks it loses exactness either way.
 //!
 //! The expensive part — minimal separators, potential maximal cliques, full
 //! blocks, and the combinatorial structure of which PMCs can realize which
@@ -433,14 +455,22 @@ impl<'a> Table<'a> {
 
     /// The first cheapest of subproblem `i`'s `admitted` candidates whose
     /// children are solved.
-    fn best<K: BagCost + ?Sized>(self, cost: &K, admitted: &VertexSet, i: usize) -> Entry {
+    fn best<K: BagCost + ?Sized>(
+        self,
+        cost: &K,
+        admitted: &VertexSet,
+        i: usize,
+        work: &mut DpWork,
+    ) -> Entry {
         let pre = self.pre;
         let first = pre.first_candidate[i];
         let mut best = Entry::UNSOLVED;
+        work.blocks_recomputed += 1;
         let visited = pre
             .candidate_range(i)
             .filter(|&index| admitted.contains(index as u32));
         for index in visited {
+            work.candidates_visited += 1;
             let cand = &pre.candidates[i][index - first];
             let Some(children) = self.children(&cand.children) else {
                 continue;
@@ -482,68 +512,146 @@ impl<'a> Table<'a> {
     }
 }
 
-/// Fills the DP table under `constraints`: every full block in ascending
-/// size order, so each child is solved before its parents, then the top
-/// level of every connected component.
-fn solve<K: BagCost + ?Sized>(
-    pre: &Preprocessed,
-    cost: &K,
-    constraints: &Constraints,
-) -> Vec<Entry> {
-    let admitted = pre.admitted(constraints);
-    let mut entries = Vec::with_capacity(pre.scopes.len());
-    for i in 0..pre.scopes.len() {
-        let table = Table {
-            pre,
-            entries: &entries,
-        };
-        let entry = table.best(cost, &admitted, i);
-        entries.push(entry);
-    }
-    entries
+/// DP metric handles, resolved once per process (`mtr-obs` names are
+/// interned in a global registry; the hot path only touches atomics).
+struct DpMetrics {
+    blocks_recomputed: mtr_obs::Counter,
+    candidates_visited: mtr_obs::Counter,
 }
 
-/// The triangulation the top-level winners of a solved table assemble:
-/// their bags, walked back from the table and saturated into the graph.
-/// `None` when a component has no finite solution, or the total cost is
-/// infinite.
-fn triangulation<K: BagCost + ?Sized>(
-    pre: &Preprocessed,
-    cost: &K,
-    entries: &[Entry],
-) -> Option<Triangulation> {
-    let g = &pre.graph;
-    if g.n() == 0 {
-        return Some(Triangulation {
-            graph: Graph::new(0),
-            bags: Vec::new(),
-            cost: cost.cost_of_bags(g, &VertexSet::empty(0), &[]),
-        });
+fn dp_metrics() -> &'static DpMetrics {
+    static METRICS: OnceLock<DpMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| DpMetrics {
+        blocks_recomputed: mtr_obs::counter("core.dp.blocks_recomputed"),
+        candidates_visited: mtr_obs::counter("core.dp.candidates_visited"),
+    })
+}
+
+/// The work of one or more solves, in deterministic counts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct DpWork {
+    /// Table entries (full blocks and components) decided over their
+    /// candidates rather than kept from the parent's table.
+    pub(crate) blocks_recomputed: usize,
+    /// Candidates visited while deciding them: only the ones every
+    /// constraint of the solve keeps.
+    pub(crate) candidates_visited: usize,
+}
+
+impl std::ops::AddAssign for DpWork {
+    fn add_assign(&mut self, other: DpWork) {
+        self.blocks_recomputed += other.blocks_recomputed;
+        self.candidates_visited += other.candidates_visited;
     }
-    let top = &entries[pre.blocks.len()..];
-    if top.iter().any(|e| !e.is_solved() || e.cost.is_infinite()) {
-        return None;
-    }
-    let table = Table { pre, entries };
-    let mut h = g.clone();
-    for i in pre.blocks.len()..pre.scopes.len() {
-        for bag in table.bags(i) {
-            h.saturate(bag);
+}
+
+/// The DP table of one solve: an [`Entry`] per full block, then one per
+/// connected component. A queued Lawler node keeps its table in place of
+/// its triangulation; see the module docs.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct DpTable(Box<[Entry]>);
+
+impl DpTable {
+    /// Fills the table under `constraints`: every full block in ascending
+    /// size order, so each child is solved before its parents, then the
+    /// top level of every connected component.
+    ///
+    /// With a `parent` — the table of a solve under a subset of
+    /// `constraints` — an entry keeps the parent's unless its winner no
+    /// longer keeps every constraint, or an entry below its winner changed
+    /// (see the module docs for why that is exact).
+    pub(crate) fn solve<K: BagCost + ?Sized>(
+        pre: &Preprocessed,
+        cost: &K,
+        constraints: &Constraints,
+        parent: Option<&DpTable>,
+    ) -> (DpTable, DpWork) {
+        let admitted = pre.admitted(constraints);
+        let mut work = DpWork::default();
+        let mut entries = Vec::with_capacity(pre.scopes.len());
+        // Per entry filled so far, whether it or an entry below its winner
+        // differs from the parent's: its bags may differ then, so no entry
+        // above it can be kept.
+        let mut changed = Vec::new();
+        for i in 0..pre.scopes.len() {
+            let changed_below = |entry: Entry, changed: &[bool]| {
+                entry.is_solved()
+                    && pre.candidates[i][entry.winner as usize]
+                        .children
+                        .iter()
+                        .any(|&c| changed[c])
+            };
+            let inherited = parent.map(|p| p.0[i]);
+            let entry = match inherited {
+                Some(kept)
+                    if !kept.is_solved()
+                        || (admitted.contains(pre.first_candidate[i] as u32 + kept.winner)
+                            && !changed_below(kept, &changed)) =>
+                {
+                    kept
+                }
+                _ => {
+                    let table = Table {
+                        pre,
+                        entries: &entries,
+                    };
+                    table.best(cost, &admitted, i, &mut work)
+                }
+            };
+            if let Some(kept) = inherited {
+                changed.push(entry != kept || changed_below(entry, &changed));
+            }
+            entries.push(entry);
         }
+        let metrics = dp_metrics();
+        metrics.blocks_recomputed.add(work.blocks_recomputed as u64);
+        metrics
+            .candidates_visited
+            .add(work.candidates_visited as u64);
+        (DpTable(entries.into_boxed_slice()), work)
     }
 
-    // Canonicalize the bags as the maximal cliques of the chordal graph.
-    let bags = maximal_cliques_chordal(&h)
-        .expect("saturating the bags of a block decomposition must give a chordal graph");
-    let total_cost = cost.cost_of_bags(g, &g.vertex_set(), &bags);
-    if total_cost.is_infinite() {
-        return None;
+    /// The triangulation the table's top-level winners assemble, priced by
+    /// `cost`. `None` when a component has no finite solution, or the total
+    /// cost is infinite.
+    pub(crate) fn triangulation<K: BagCost + ?Sized>(
+        &self,
+        pre: &Preprocessed,
+        cost: &K,
+    ) -> Option<Triangulation> {
+        let top = &self.0[pre.blocks.len()..];
+        if top.iter().any(|e| !e.is_solved() || e.cost.is_infinite()) {
+            return None;
+        }
+        let (graph, bags) = self.rebuild(pre);
+        let g = &pre.graph;
+        let total_cost = cost.cost_of_bags(g, &g.vertex_set(), &bags);
+        (!total_cost.is_infinite()).then_some(Triangulation {
+            graph,
+            bags,
+            cost: total_cost,
+        })
     }
-    Some(Triangulation {
-        graph: h,
-        bags,
-        cost: total_cost,
-    })
+
+    /// The chordal graph the top-level winners assemble — their bags,
+    /// walked back from the table and saturated into the input graph — and
+    /// its maximal cliques. Every component must be solved.
+    pub(crate) fn rebuild(&self, pre: &Preprocessed) -> (Graph, Vec<VertexSet>) {
+        let table = Table {
+            pre,
+            entries: &self.0,
+        };
+        let mut h = pre.graph.clone();
+        for i in pre.blocks.len()..pre.scopes.len() {
+            for bag in table.bags(i) {
+                h.saturate(bag);
+            }
+        }
+        // Canonicalize the bags as the maximal cliques of the chordal graph.
+        let bags = maximal_cliques_chordal(&h)
+            .expect("saturating the bags of a block decomposition must give a chordal graph");
+        (h, bags)
+    }
 }
 
 /// Computes a minimum-cost minimal triangulation of the preprocessed graph
@@ -575,7 +683,8 @@ pub fn min_triangulation_with<K: BagCost + ?Sized>(
     cost: &K,
     constraints: &Constraints,
 ) -> Option<Triangulation> {
-    triangulation(pre, cost, &solve(pre, cost, constraints))
+    let (table, _) = DpTable::solve(pre, cost, constraints, None);
+    table.triangulation(pre, cost)
 }
 
 #[cfg(test)]
@@ -587,6 +696,7 @@ mod tests {
     use mtr_separators::enumerate::minimal_separators;
     use mtr_workloads::random::gnp_connected;
     use mtr_workloads::structured::{grid, mycielski};
+    use proptest::prelude::*;
 
     fn cycle(n: u32) -> Graph {
         Graph::from_edges(n, &(0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>())
@@ -835,9 +945,9 @@ mod tests {
                 &WidthThenFill,
             ];
             for cost in costs {
-                let entries = solve(&pre, cost, &Constraints::none());
+                let (table, _) = DpTable::solve(&pre, cost, &Constraints::none(), None);
                 let mut checked = 0;
-                for_each_solved_candidate(&pre, &entries, |_, scope, omega, children| {
+                for_each_solved_candidate(&pre, &table.0, |_, scope, omega, children| {
                     let bags = assembled(omega, children);
                     assert_eq!(
                         cost.combine(&g, scope, omega, children),
@@ -864,16 +974,27 @@ mod tests {
         })
     }
 
-    /// The constraints of Lawler-tree nodes, breadth first, until at least
-    /// `limit` are known: each solved node's children are the staircase
-    /// `RankedState::expand` builds from its best member's separators.
-    fn lawler_nodes(pre: &Preprocessed, limit: usize) -> Vec<Constraints> {
-        let mut nodes = vec![Constraints::none()];
+    /// The constraints of Lawler-tree nodes under `cost`, breadth first,
+    /// until at least `limit` are known: each solved node's children are
+    /// the staircase `RankedState::expand` builds from its best member's
+    /// separators. Every table is solved from its parent's, as the ranked
+    /// enumeration solves it, and `check(child, table)` sees each child's.
+    fn lawler_tree(
+        pre: &Preprocessed,
+        cost: &dyn BagCost,
+        limit: usize,
+        mut check: impl FnMut(&Constraints, &DpTable),
+    ) -> Vec<Constraints> {
+        let root = Constraints::none();
+        let (table, _) = DpTable::solve(pre, cost, &root, None);
+        check(&root, &table);
+        let mut nodes = vec![(root, table)];
         let mut next = 0;
         while next < nodes.len() && nodes.len() < limit {
-            let node = nodes[next].clone();
+            let (node, table) = nodes[next].clone();
             next += 1;
-            let Some(best) = min_triangulation_with(pre, &FillIn, &node)
+            let Some(best) = table
+                .triangulation(pre, cost)
                 .filter(|best| node.satisfied_by_graph(&best.graph))
             else {
                 continue;
@@ -887,10 +1008,58 @@ mod tests {
                 include.extend(seps[..k].iter().cloned());
                 let mut exclude = node.exclude.clone();
                 exclude.push(sep.clone());
-                nodes.push(Constraints::new(include, exclude));
+                let child = Constraints::new(include, exclude);
+                let (child_table, _) = DpTable::solve(pre, cost, &child, Some(&table));
+                check(&child, &child_table);
+                nodes.push((child, child_table));
             }
         }
-        nodes
+        nodes.into_iter().map(|(node, _)| node).collect()
+    }
+
+    /// Graphs on 1 to 11 vertices of edge density 1/8 to 5/8,
+    /// disconnected ones included.
+    fn small_graph() -> impl Strategy<Value = Graph> {
+        (1u32..12)
+            .prop_flat_map(|n| {
+                let pairs = (n * (n - 1) / 2) as usize;
+                (Just(n), prop::collection::vec(0u8..8, pairs), 1u8..6)
+            })
+            .prop_map(|(n, bits, threshold)| {
+                let pairs = (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v)));
+                let edges: Vec<_> = pairs
+                    .zip(bits)
+                    .filter(|&(_, bit)| bit < threshold)
+                    .map(|(edge, _)| edge)
+                    .collect();
+                Graph::from_edges(n, &edges)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A child's table solved from its parent's equals the table solved
+        /// from scratch, entry by entry (cost and winner, top level
+        /// included), along chains of Lawler nodes, with and without a
+        /// width bound, for overriding costs and one that prices through
+        /// the default `combine`.
+        #[test]
+        fn incremental_tables_equal_from_scratch(g in small_graph(), bound in 1usize..6) {
+            let pres = [Preprocessed::new(&g), Preprocessed::new_bounded(&g, bound)];
+            for pre in &pres {
+                for cost in [&Width as &dyn BagCost, &FillIn, &WidthThenFill] {
+                    let mut mismatch = None;
+                    lawler_tree(pre, cost, 40, |child, table| {
+                        let (scratch, _) = DpTable::solve(pre, cost, child, None);
+                        if mismatch.is_none() && *table != scratch {
+                            mismatch = Some(child.clone());
+                        }
+                    });
+                    prop_assert!(mismatch.is_none(), "{} on {g:?}: {mismatch:?}", cost.name());
+                }
+            }
+        }
     }
 
     #[test]
@@ -906,10 +1075,10 @@ mod tests {
             let pre = Preprocessed::new(&g);
             // How often the reference admits and rejects: both must occur.
             let mut verdicts = [0usize; 2];
-            for constraints in lawler_nodes(&pre, 24) {
+            for constraints in lawler_tree(&pre, &FillIn, 24, |_, _| {}) {
                 let admitted = pre.admitted(&constraints);
-                let entries = solve(&pre, &FillIn, &constraints);
-                for_each_solved_candidate(&pre, &entries, |index, scope, omega, children| {
+                let (table, _) = DpTable::solve(&pre, &FillIn, &constraints, None);
+                for_each_solved_candidate(&pre, &table.0, |index, scope, omega, children| {
                     let bags = assembled(omega, children);
                     let clique = |u: &&VertexSet| is_clique_pairwise(&g, &bags, u);
                     let inside = |u: &&VertexSet| u.is_subset_of(scope);
@@ -948,6 +1117,7 @@ mod tests {
         assert!(pre
             .candidate_range(leaf)
             .all(|index| admitted.contains(index as u32)));
-        assert!(solve(&pre, &FillIn, &include)[leaf].is_solved());
+        let (table, _) = DpTable::solve(&pre, &FillIn, &include, None);
+        assert!(table.0[leaf].is_solved());
     }
 }

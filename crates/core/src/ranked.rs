@@ -19,6 +19,13 @@
 //! so the stream (ties included) and every work counter are the same at any
 //! thread count; only the delay changes.
 //!
+//! A queued partition keeps the DP table of its solve rather than its best
+//! member: the member is rebuilt from the table when the partition pops,
+//! and the partition's children are solved from that table, so a child
+//! decides again only the blocks its new constraints touch (see
+//! [`crate::mintriang`]). A deferred partition has no table and is solved
+//! from scratch.
+//!
 //! The enumerator is exposed as a lazy [`Iterator`], so callers get any-time
 //! top-k semantics: stop pulling and no further work is done. With a
 //! poly-MS class of graphs (or a constant width bound) the delay between
@@ -26,7 +33,7 @@
 
 use crate::cancel::CancelFlag;
 use crate::cost::{BagCost, Constraints, CostValue};
-use crate::mintriang::{min_triangulation_with, Preprocessed, Triangulation};
+use crate::mintriang::{DpTable, DpWork, Preprocessed, Triangulation};
 use crate::pool::{TaskPanic, WorkerPool};
 use crate::symmetry::{ModuloDedup, OrbitContext};
 use mtr_graph::{Graph, VertexSet};
@@ -169,9 +176,10 @@ impl<P> RankedQueue<P> {
 /// How a queued partition is materialized.
 #[derive(Debug)]
 enum NodeState {
-    /// The partition has been re-optimized; the entry's key is the exact
-    /// cost of this best member.
-    Solved(Triangulation),
+    /// The partition has been re-optimized: the DP table its best member is
+    /// rebuilt from when the node pops, and its children are solved from.
+    /// The entry's key is the exact cost of that member.
+    Solved(DpTable),
     /// Incumbent-bounded pruning deferred the re-optimization; the entry's
     /// key is an admissible lower bound on the partition's best cost. The
     /// node is solved only if it ever reaches the front of the queue.
@@ -186,21 +194,35 @@ struct Node {
     constraints: Constraints,
 }
 
-/// A batch of constrained children, each with its best member — `None` when
-/// its partition is empty.
-type Solved = Vec<(Constraints, Option<Triangulation>)>;
+/// One re-optimized child partition: its constraints, the exact cost and
+/// DP table of its best member (`None` when the partition is empty), and
+/// the DP work of the solve.
+struct Solved {
+    constraints: Constraints,
+    best: Option<(CostValue, DpTable)>,
+    work: DpWork,
+}
 
-/// Solves `MinTriang⟨κ[I, X]⟩` for one child. Guards against a best
-/// solution that silently violates the constraints (line 12 of the
-/// algorithm), so only non-empty partitions are ever queued.
+/// Solves `MinTriang⟨κ[I, X]⟩` for one child, from its parent's table when
+/// it has one. Guards against a best solution that silently violates the
+/// constraints (line 12 of the algorithm), so only non-empty partitions are
+/// ever queued.
 fn solve_child<K: BagCost + ?Sized>(
     pre: &Preprocessed,
     cost: &K,
+    parent: Option<&DpTable>,
     constraints: Constraints,
-) -> (Constraints, Option<Triangulation>) {
-    let best = min_triangulation_with(pre, cost, &constraints)
-        .filter(|best| constraints.satisfied_by_graph(&best.graph));
-    (constraints, best)
+) -> Solved {
+    let (table, work) = DpTable::solve(pre, cost, &constraints, parent);
+    let best = table
+        .triangulation(pre, cost)
+        .filter(|best| constraints.satisfied_by_graph(&best.graph))
+        .map(|best| (best.cost, table));
+    Solved {
+        constraints,
+        best,
+        work,
+    }
 }
 
 /// The mutable engine state of one Lawler–Murty ranked enumeration —
@@ -219,6 +241,8 @@ pub struct RankedState {
     emitted_fills: HashSet<Vec<(u32, u32)>>,
     duplicates_skipped: usize,
     nodes_explored: usize,
+    /// DP work summed over every solve so far.
+    work: DpWork,
     started: bool,
     /// Incumbent-bounded pruning: when on, children whose lower bound
     /// strictly exceeds `incumbent` are enqueued [`NodeState::Deferred`]
@@ -308,6 +332,21 @@ impl RankedState {
         self.nodes_explored
     }
 
+    /// Number of DP table entries (full blocks and top-level components)
+    /// decided over their candidates, summed over every solve so far. An
+    /// entry a child keeps from its parent's table is not counted. Like
+    /// every work counter, it is the same at any thread count.
+    pub fn blocks_recomputed(&self) -> usize {
+        self.work.blocks_recomputed
+    }
+
+    /// Number of candidates visited while deciding those entries, summed
+    /// over every solve so far: only the candidates that keep every
+    /// constraint of their solve are visited.
+    pub fn candidates_visited(&self) -> usize {
+        self.work.candidates_visited
+    }
+
     /// Number of partitions currently pending in the priority queue.
     pub fn queue_depth(&self) -> usize {
         self.queue.len()
@@ -331,10 +370,10 @@ impl RankedState {
         pre: &Preprocessed,
         cost: &K,
     ) -> Option<RankedTriangulation> {
-        self.advance(pre, cost, |batch| {
+        self.advance(pre, cost, |parent, batch| {
             Ok(batch
                 .into_iter()
-                .map(|c| solve_child(pre, cost, c))
+                .map(|c| solve_child(pre, cost, parent.as_deref(), c))
                 .collect())
         })
     }
@@ -356,10 +395,13 @@ impl RankedState {
         let Some(pool) = pool else {
             return self.next(pre, cost);
         };
-        self.advance(pre, cost, |batch| {
+        self.advance(pre, cost, |parent, batch| {
             let tasks: Vec<_> = batch
                 .into_iter()
-                .map(|c| move || solve_child(pre, cost, c))
+                .map(|c| {
+                    let parent = parent.clone();
+                    move || solve_child(pre, cost, parent.as_deref(), c)
+                })
                 .collect();
             pool.run_batch(tasks)
         })
@@ -367,7 +409,7 @@ impl RankedState {
 
     /// The Lawler–Murty loop: pop the cheapest partition, emit its best
     /// member, and split the rest of the partition into children, whose
-    /// re-optimizations `solve` runs as one batch.
+    /// re-optimizations `solve` runs as one batch from the popped table.
     fn advance<K, S>(
         &mut self,
         pre: &Preprocessed,
@@ -376,11 +418,11 @@ impl RankedState {
     ) -> Option<RankedTriangulation>
     where
         K: BagCost + ?Sized,
-        S: FnMut(Vec<Constraints>) -> Result<Solved, TaskPanic>,
+        S: FnMut(Option<Arc<DpTable>>, Vec<Constraints>) -> Result<Vec<Solved>, TaskPanic>,
     {
         if !self.started {
             self.started = true;
-            self.enqueue(vec![(Constraints::none(), None)], &mut solve);
+            self.enqueue(None, vec![(Constraints::none(), None)], &mut solve);
         }
         loop {
             // The demand boundary: between partition pops, never inside a
@@ -390,8 +432,8 @@ impl RankedState {
                 return None;
             }
             let (key, ticket, node) = self.queue.pop()?;
-            let best = match node.state {
-                NodeState::Solved(best) => best,
+            let table = match node.state {
+                NodeState::Solved(table) => table,
                 NodeState::Deferred => {
                     // A deferred partition (keyed by an admissible lower
                     // bound) reached the front of the queue: solve it now
@@ -403,6 +445,14 @@ impl RankedState {
                     self.resolve(ticket, key, node.constraints, &mut solve);
                     continue;
                 }
+            };
+            // The best member, rebuilt from the table; a solved entry is
+            // keyed by its exact cost.
+            let (graph, bags) = table.rebuild(pre);
+            let best = Triangulation {
+                graph,
+                bags,
+                cost: key,
             };
             let fill = best.fill_edges(pre.graph());
             // Modulo-symmetry: a result orbit-equivalent to an earlier
@@ -416,7 +466,8 @@ impl RankedState {
             // The minimal separators of H feed both the partition expansion
             // and the emitted result: compute them once and share.
             let seps_of_h = minimal_separators(&best.graph);
-            self.expand(pre, cost, &seps_of_h, &node.constraints, key, &mut solve);
+            let children = self.expand(pre, cost, &seps_of_h, &node.constraints, key);
+            self.enqueue(Some(Arc::new(table)), children, &mut solve);
             if self.failed.is_some() {
                 // The expansion batch died: `best` was computed, but the
                 // enumeration is failing — emit nothing past the fault.
@@ -457,41 +508,40 @@ impl RankedState {
         constraints: Constraints,
         solve: &mut S,
     ) where
-        S: FnMut(Vec<Constraints>) -> Result<Solved, TaskPanic>,
+        S: FnMut(Option<Arc<DpTable>>, Vec<Constraints>) -> Result<Vec<Solved>, TaskPanic>,
     {
         self.nodes_explored += 1;
-        let solved = match solve(vec![constraints]) {
+        let solved = match solve(None, vec![constraints]) {
             Ok(solved) => solved,
             Err(panic) => {
                 self.failed = Some(panic.message);
                 return;
             }
         };
-        for (constraints, best) in solved {
-            let Some(best) = best else { continue };
-            debug_assert!(
-                best.cost >= key,
-                "a queue key must not exceed the exact cost"
-            );
-            let exact = best.cost;
-            let state = NodeState::Solved(best);
+        for child in solved {
+            self.work += child.work;
+            let Some((exact, table)) = child.best else {
+                continue;
+            };
+            debug_assert!(exact >= key, "a queue key must not exceed the exact cost");
+            let state = NodeState::Solved(table);
+            let constraints = child.constraints;
             self.queue
                 .reinsert(ticket, exact, Node { state, constraints });
         }
     }
 
-    fn expand<K, S>(
+    /// The children of a popped partition, each with its optional lower
+    /// bound, in generation order: the staircase over the separators of its
+    /// best member that its constraints do not already include.
+    fn expand<K: BagCost + ?Sized>(
         &mut self,
         pre: &Preprocessed,
         cost: &K,
         seps_of_h: &[VertexSet],
         constraints: &Constraints,
         parent_cost: CostValue,
-        solve: &mut S,
-    ) where
-        K: BagCost + ?Sized,
-        S: FnMut(Vec<Constraints>) -> Result<Solved, TaskPanic>,
-    {
+    ) -> Vec<(Constraints, Option<CostValue>)> {
         // Minimal separators of the emitted triangulation H; those not
         // already forced define the sub-partitions.
         let new_seps: Vec<&VertexSet> = seps_of_h
@@ -533,16 +583,20 @@ impl RankedState {
                 });
             children.push((Constraints::new(include, exclude), lb));
         }
-        self.enqueue(children, solve);
+        children
     }
 
     /// Queues child partitions, each with its optional lower bound, in
     /// generation order. A child whose bound strictly exceeds the incumbent
-    /// is deferred, and the rest are solved as one batch; empty partitions
-    /// are dropped.
-    fn enqueue<S>(&mut self, children: Vec<(Constraints, Option<CostValue>)>, solve: &mut S)
-    where
-        S: FnMut(Vec<Constraints>) -> Result<Solved, TaskPanic>,
+    /// is deferred, and the rest are solved as one batch from the `parent`
+    /// table; empty partitions are dropped.
+    fn enqueue<S>(
+        &mut self,
+        parent: Option<Arc<DpTable>>,
+        children: Vec<(Constraints, Option<CostValue>)>,
+        solve: &mut S,
+    ) where
+        S: FnMut(Option<Arc<DpTable>>, Vec<Constraints>) -> Result<Vec<Solved>, TaskPanic>,
     {
         // Per child, in generation order: its queue key and node, or `None`
         // while it waits for the batch.
@@ -565,17 +619,20 @@ impl RankedState {
             batch.push(constraints);
         }
         self.nodes_explored += batch.len();
-        let solved = match solve(batch) {
+        let solved = match solve(parent, batch) {
             Ok(solved) => solved,
             Err(panic) => {
                 self.failed = Some(panic.message);
                 return;
             }
         };
-        for (slot, (constraints, best)) in eager_slots.into_iter().zip(solved) {
-            let Some(best) = best else { continue };
-            let exact = best.cost;
-            let state = NodeState::Solved(best);
+        for (slot, child) in eager_slots.into_iter().zip(solved) {
+            self.work += child.work;
+            let Some((exact, table)) = child.best else {
+                continue;
+            };
+            let state = NodeState::Solved(table);
+            let constraints = child.constraints;
             slots[slot] = Some((exact, Node { state, constraints }));
         }
         for (key, node) in slots.into_iter().flatten() {
@@ -959,6 +1016,34 @@ mod tests {
             for (a, b) in inline.iter().zip(&pooled) {
                 assert_eq!(a.cost, b.cost);
                 assert_eq!(a.triangulation, b.triangulation);
+            }
+        }
+    }
+
+    #[test]
+    fn dp_work_counters_are_pinned_at_every_pool_width() {
+        // grid(3, 3) has 40 full blocks and one component, so a solve that
+        // kept nothing from its parent would decide 41 entries.
+        let g = mtr_workloads::structured::grid(3, 3);
+        let pre = Preprocessed::new(&g);
+        let pins = [
+            (&FillIn as &(dyn BagCost + Sync), 68, (999, 2169)),
+            (&Width, 70, (1097, 2365)),
+        ];
+        for (cost, solves, pinned) in pins {
+            let mut inline = RankedState::new();
+            let results: Vec<_> = std::iter::from_fn(|| inline.next(&pre, cost))
+                .take(25)
+                .collect();
+            assert_eq!(results.len(), 25);
+            assert_eq!(inline.nodes_explored(), solves, "{}", cost.name());
+            let counts = (inline.blocks_recomputed(), inline.candidates_visited());
+            assert_eq!(counts, pinned, "{}", cost.name());
+            for threads in [1, 4] {
+                let mut pooled = RankedState::new();
+                drain_pooled(&pre, cost, threads, &mut pooled, 25);
+                let counts = (pooled.blocks_recomputed(), pooled.candidates_visited());
+                assert_eq!(counts, pinned, "{} at threads = {threads}", cost.name());
             }
         }
     }
