@@ -35,6 +35,9 @@ pub enum ParseError {
         vertex: usize,
         /// The declared number of vertices.
         n: usize,
+        /// The first vertex index of the format: 1 for PACE and DIMACS,
+        /// 0 for edge lists. The valid indices are `first..first + n`.
+        first: usize,
     },
 }
 
@@ -48,10 +51,22 @@ impl std::fmt::Display for ParseError {
             ParseError::VertexOutOfRange {
                 line_number,
                 vertex,
-                n,
+                n: 0,
+                ..
             } => write!(
                 f,
-                "vertex {vertex} on line {line_number} is outside the declared range 1..={n}"
+                "vertex {vertex} on line {line_number} is outside the declared range: \
+                 the graph has no vertices"
+            ),
+            ParseError::VertexOutOfRange {
+                line_number,
+                vertex,
+                n,
+                first,
+            } => write!(
+                f,
+                "vertex {vertex} on line {line_number} is outside the declared range {first}..={}",
+                first + n - 1
             ),
         }
     }
@@ -120,6 +135,7 @@ pub fn parse_pace(input: &str) -> Result<Graph, ParseError> {
                     line_number,
                     vertex: x,
                     n,
+                    first: 1,
                 });
             }
         }
@@ -193,6 +209,7 @@ pub fn parse_dimacs(input: &str) -> Result<Graph, ParseError> {
                         line_number,
                         vertex: x,
                         n,
+                        first: 1,
                     });
                 }
             }
@@ -219,7 +236,8 @@ pub fn write_dimacs(g: &Graph) -> String {
 /// declares the vertex count; otherwise it is inferred as `max index + 1`.
 pub fn parse_edge_list(input: &str) -> Result<Graph, ParseError> {
     let mut declared_n: Option<usize> = None;
-    let mut edges: Vec<(usize, usize)> = Vec::new();
+    // Each edge with the line it was read from, for the range check below.
+    let mut edges: Vec<(usize, usize, usize)> = Vec::new();
     let mut max_v = 0usize;
     for (idx, raw) in input.lines().enumerate() {
         let line_number = idx + 1;
@@ -255,7 +273,7 @@ pub fn parse_edge_list(input: &str) -> Result<Graph, ParseError> {
             }
         };
         max_v = max_v.max(u).max(v);
-        edges.push((u, v));
+        edges.push((u, v, line_number));
     }
     // Vertex ids are `u32`: an index whose `max + 1` does not fit is out of
     // range of the largest count a graph can have.
@@ -264,17 +282,20 @@ pub fn parse_edge_list(input: &str) -> Result<Graph, ParseError> {
         None if edges.is_empty() => 0,
         None => max_v.saturating_add(1).min(u32::MAX as usize),
     };
-    for (idx, &(u, v)) in edges.iter().enumerate() {
+    // The range is known only once every line is read: an `n` line may
+    // follow the edges.
+    for &(u, v, line_number) in &edges {
         if u >= n || v >= n {
             return Err(ParseError::VertexOutOfRange {
-                line_number: idx + 1,
+                line_number,
                 vertex: u.max(v),
                 n,
+                first: 0,
             });
         }
     }
     let mut g = Graph::new(n as u32);
-    for (u, v) in edges {
+    for (u, v, _) in edges {
         if u != v {
             g.add_edge(u as Vertex, v as Vertex);
         }

@@ -93,6 +93,52 @@ fn counts_past_u32_are_typed_errors() {
     ));
 }
 
+/// An out-of-range edge is reported on the line it was read from, with the
+/// range in the format's own numbering: 0-based for edge lists, 1-based
+/// for PACE and DIMACS.
+#[test]
+fn out_of_range_vertices_name_their_line_and_range() {
+    let err = parse_edge_list("# a comment\nn 3\n0 1\n1 7\n").unwrap_err();
+    assert_eq!(
+        err,
+        ParseError::VertexOutOfRange {
+            line_number: 4,
+            vertex: 7,
+            n: 3,
+            first: 0,
+        }
+    );
+    assert_eq!(
+        err.to_string(),
+        "vertex 7 on line 4 is outside the declared range 0..=2"
+    );
+    // A count declared after the edges still bounds them.
+    let late = parse_edge_list("0 1\n\n2 3\nn 3\n").unwrap_err();
+    assert!(matches!(
+        late,
+        ParseError::VertexOutOfRange {
+            line_number: 3,
+            vertex: 3,
+            ..
+        }
+    ));
+    let pace = parse_pace("p tw 3 2\nc a comment\n1 2\n2 4\n").unwrap_err();
+    assert_eq!(
+        pace.to_string(),
+        "vertex 4 on line 4 is outside the declared range 1..=3"
+    );
+    let dimacs = parse_dimacs("p edge 3 1\ne 0 1\n").unwrap_err();
+    assert_eq!(
+        dimacs.to_string(),
+        "vertex 0 on line 2 is outside the declared range 1..=3"
+    );
+    let empty = parse_edge_list("n 0\n0 0\n").unwrap_err();
+    assert_eq!(
+        empty.to_string(),
+        "vertex 0 on line 2 is outside the declared range: the graph has no vertices"
+    );
+}
+
 #[test]
 fn empty_and_isolated_graphs_roundtrip() {
     for g in [Graph::new(0), Graph::new(5)] {
