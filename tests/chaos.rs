@@ -328,7 +328,8 @@ fn watchdog_cancels_runaway_sessions() {
     .expect("bind daemon");
     let addr = handle.local_addr().expect("tcp daemon").to_string();
 
-    // Far too large to exhaust within the cap.
+    // Its 4,656 minimal triangulations take seconds to exhaust, far longer
+    // than the cap.
     let big = ranked_triangulations::workloads::structured::mycielski(5);
     let mut client = Client::connect_tcp(&addr).expect("connect");
     let (_, done) = client
@@ -364,7 +365,8 @@ fn watchdog_cancels_sessions_queued_during_drain() {
     .expect("bind daemon");
     let addr = handle.local_addr().expect("tcp daemon").to_string();
 
-    // Far too large to exhaust within the cap.
+    // Its 4,656 minimal triangulations take seconds to exhaust, far longer
+    // than the cap.
     let big = ranked_triangulations::workloads::structured::mycielski(5);
     let request = EnumerateRequest {
         tenant: TENANT.into(),

@@ -216,7 +216,8 @@ fn disconnect_mid_stream_cancels_the_session() {
     .expect("bind daemon");
     let addr = handle.local_addr().expect("tcp daemon").to_string();
 
-    // A stream far too long to exhaust: Mycielski-5, unbudgeted.
+    // A stream that outlasts the four frames read below: Mycielski-5,
+    // unbudgeted, with 4,656 results.
     let g = ranked_triangulations::workloads::structured::mycielski(5);
     {
         let mut stream = TcpStream::connect(&addr).expect("connect");
