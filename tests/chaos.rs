@@ -319,6 +319,9 @@ fn retry_converges_after_transient_faults() {
 /// results already streamed are kept) and the daemon serves on.
 #[test]
 fn watchdog_cancels_runaway_sessions() {
+    // The session must end by the watchdog, not by a fault another test
+    // armed on `serve.session.run`.
+    let _guard = fault_guard();
     let handle = serve_ephemeral(ServerConfig {
         workers: 1,
         max_session_ms: Some(50),
@@ -499,6 +502,9 @@ proptest! {
 /// results never change.
 #[test]
 fn torn_files_are_quarantined_and_refetched() {
+    // The cold run must persist its atoms: no other test may have
+    // `cache.disk.write` armed meanwhile.
+    let _guard = fault_guard();
     let dir = tmpdir("torn");
     let g = decomposable::gnp_with_bridges(2, 10, 0.4, 802);
     let run_dir = |g: &Graph| {
