@@ -49,14 +49,15 @@
 use crate::cost::{BagCost, ChildSolution, Constraints, CostValue};
 use crate::pool;
 use mtr_chordal::cliques::maximal_cliques_chordal;
-use mtr_graph::{Graph, VertexSet};
-use mtr_pmc::enumerate::{potential_maximal_cliques, potential_maximal_cliques_bounded};
+use mtr_graph::{Components, Graph, VertexSet};
+use mtr_pmc::enumerate::{potential_maximal_cliques_until, PmcDeadlineExceeded, PmcEnumeration};
 use mtr_separators::blocks::{full_blocks, Block};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// A minimal triangulation together with its bag structure and cost.
 #[derive(Clone, Debug)]
@@ -147,7 +148,7 @@ impl Preprocessed {
     /// Full (unbounded) preprocessing of `g`: all minimal separators and all
     /// potential maximal cliques. Polynomial under the poly-MS assumption.
     pub fn new(g: &Graph) -> Self {
-        let e = potential_maximal_cliques(g);
+        let e = potential_maximal_cliques_counted(g, None, None).expect("no deadline was set");
         Self::from_parts_threaded(g, e.minimal_separators, e.pmcs, None, 1)
     }
 
@@ -155,7 +156,8 @@ impl Preprocessed {
     /// `≤ width_bound` and PMCs of size `≤ width_bound + 1` are considered,
     /// which bounds the work without the poly-MS assumption (Section 5.3).
     pub fn new_bounded(g: &Graph, width_bound: usize) -> Self {
-        let e = potential_maximal_cliques_bounded(g, width_bound + 1);
+        let e = potential_maximal_cliques_counted(g, Some(width_bound + 1), None)
+            .expect("no deadline was set");
         Self::from_parts_threaded(g, e.minimal_separators, e.pmcs, Some(width_bound), 1)
     }
 
@@ -180,10 +182,10 @@ impl Preprocessed {
             None => minimal_separators,
         };
         let blocks = full_blocks(g, &minimal_separators);
-        let block_index: HashMap<Block, usize> = blocks
+        let block_index: HashMap<VertexSet, usize> = blocks
             .iter()
             .enumerate()
-            .map(|(i, b)| (b.clone(), i))
+            .map(|(i, b)| (b.component.clone(), i))
             .collect();
 
         // Candidates per block: PMCs Ω with S ⊂ Ω ⊆ S ∪ C, each with the
@@ -204,8 +206,9 @@ impl Preprocessed {
                         let pmcs = &pmcs;
                         let block_index = &block_index;
                         move || {
+                            let mut resolver = ChildResolver::new(g, block_index);
                             range
-                                .map(|bi| candidates_for_block(g, &blocks[bi], pmcs, block_index))
+                                .map(|bi| resolver.candidates_for_block(&blocks[bi], pmcs))
                                 .collect::<Vec<_>>()
                         }
                     })
@@ -218,22 +221,24 @@ impl Preprocessed {
             });
             chunked.into_iter().flatten().collect()
         } else {
+            let mut resolver = ChildResolver::new(g, &block_index);
             blocks
                 .iter()
-                .map(|b| candidates_for_block(g, b, &pmcs, &block_index))
+                .map(|b| resolver.candidates_for_block(b, &pmcs))
                 .collect()
         };
 
         // Top-level candidates per connected component (few components, so
         // this stays sequential).
         let mut scopes: Vec<VertexSet> = blocks.iter().map(Block::vertices).collect();
+        let mut resolver = ChildResolver::new(g, &block_index);
         for comp in g.components() {
             let mut top = Vec::new();
             for (pi, omega) in pmcs.iter().enumerate() {
                 if omega.is_empty() || !omega.is_subset_of(&comp) {
                     continue;
                 }
-                if let Some(children) = resolve_children(g, &comp, omega, &block_index, None) {
+                if let Some(children) = resolver.children(&comp, omega, None) {
                     top.push(Candidate { pmc: pi, children });
                 }
             }
@@ -348,53 +353,97 @@ impl Preprocessed {
     }
 }
 
-/// Resolves all candidate PMCs of one full block — the unit of work the
-/// threaded initialization distributes over the pool.
-fn candidates_for_block(
+/// [`potential_maximal_cliques_until`] with its work added to the obs
+/// registry: the enumeration's [`PmcEnumeration::candidates_tested`] and
+/// [`PmcEnumeration::candidates_accepted`] go to the `pmc.candidates_tested`
+/// and `pmc.candidates_accepted` counters, once per completed enumeration.
+/// Every preprocessing path of the engines enumerates through it.
+pub fn potential_maximal_cliques_counted(
     g: &Graph,
-    block: &Block,
-    pmcs: &[VertexSet],
-    block_index: &HashMap<Block, usize>,
-) -> Vec<Candidate> {
-    let block_vertices = block.vertices();
-    let mut candidates = Vec::new();
-    for (pi, omega) in pmcs.iter().enumerate() {
-        if !block.separator.is_proper_subset_of(omega) || !omega.is_subset_of(&block_vertices) {
-            continue;
-        }
-        if let Some(children) =
-            resolve_children(g, &block_vertices, omega, block_index, Some(block))
-        {
-            candidates.push(Candidate { pmc: pi, children });
-        }
-    }
-    candidates
+    max_size: Option<usize>,
+    deadline: Option<Instant>,
+) -> Result<PmcEnumeration, PmcDeadlineExceeded> {
+    static METRICS: OnceLock<[mtr_obs::Counter; 2]> = OnceLock::new();
+    let [tested, accepted] = METRICS.get_or_init(|| {
+        [
+            mtr_obs::counter("pmc.candidates_tested"),
+            mtr_obs::counter("pmc.candidates_accepted"),
+        ]
+    });
+    let e = potential_maximal_cliques_until(g, max_size, deadline)?;
+    tested.add(e.candidates_tested);
+    accepted.add(e.candidates_accepted);
+    Ok(e)
 }
 
-/// Resolves the child blocks of choosing `omega` inside `scope`: the
-/// components of `scope \ omega` with their neighborhoods. Returns `None`
-/// when some child block is not a known full block (which, per Theorems 5.3
-/// and 5.4, does not happen for genuine PMCs — `None` simply drops the
-/// candidate).
-fn resolve_children(
-    g: &Graph,
-    scope: &VertexSet,
-    omega: &VertexSet,
-    block_index: &HashMap<Block, usize>,
-    parent: Option<&Block>,
-) -> Option<Vec<usize>> {
-    let mut children = Vec::new();
-    for c in g.components_within(&scope.difference(omega)) {
-        let sep = g.neighborhood_of_set(&c).intersection(scope);
-        let child = Block::new(sep, c);
-        // Progress check: the child must be strictly smaller than the
-        // parent block so the DP's processing order is respected.
-        if parent.is_some_and(|parent| child.size() >= parent.size()) {
-            return None;
+/// Resolves candidate PMCs to the child blocks they induce, on component
+/// buffers reused from one candidate to the next.
+struct ChildResolver<'a> {
+    g: &'a Graph,
+    /// Full blocks by component: a full block is determined by its
+    /// component, since `S = N(C)`.
+    block_index: &'a HashMap<VertexSet, usize>,
+    rest: VertexSet,
+    comps: Components,
+}
+
+impl<'a> ChildResolver<'a> {
+    fn new(g: &'a Graph, block_index: &'a HashMap<VertexSet, usize>) -> Self {
+        ChildResolver {
+            g,
+            block_index,
+            rest: VertexSet::empty(g.n()),
+            comps: Components::default(),
         }
-        children.push(*block_index.get(&child)?);
     }
-    Some(children)
+
+    /// Resolves all candidate PMCs of one full block — the unit of work the
+    /// threaded initialization distributes over the pool.
+    fn candidates_for_block(&mut self, block: &Block, pmcs: &[VertexSet]) -> Vec<Candidate> {
+        let block_vertices = block.vertices();
+        let mut candidates = Vec::new();
+        for (pi, omega) in pmcs.iter().enumerate() {
+            if !block.separator.is_proper_subset_of(omega) || !omega.is_subset_of(&block_vertices) {
+                continue;
+            }
+            if let Some(children) = self.children(&block_vertices, omega, Some(block)) {
+                candidates.push(Candidate { pmc: pi, children });
+            }
+        }
+        candidates
+    }
+
+    /// Resolves the child blocks of choosing `omega` inside `scope`: the
+    /// components of `scope \ omega` with their neighborhoods. Returns `None`
+    /// when some child block is not a known full block (which, per Theorems
+    /// 5.3 and 5.4, does not happen for genuine PMCs — `None` simply drops
+    /// the candidate).
+    ///
+    /// `scope` is a full block's `S ∪ C` with `S ⊂ Ω`, or a connected
+    /// component, so every child's neighborhood lies inside it, and a child
+    /// is the full block `(N(C'), C')` of its component `C'` if it is one at
+    /// all.
+    fn children(
+        &mut self,
+        scope: &VertexSet,
+        omega: &VertexSet,
+        parent: Option<&Block>,
+    ) -> Option<Vec<usize>> {
+        self.rest.copy_from(scope);
+        self.rest.difference_with(omega);
+        self.g.components_into(&self.rest, &mut self.comps);
+        let mut children = Vec::with_capacity(self.comps.len());
+        for (c, nb) in self.comps.iter() {
+            debug_assert!(nb.is_subset_of(scope));
+            // Progress check: the child must be strictly smaller than the
+            // parent block so the DP's processing order is respected.
+            if parent.is_some_and(|parent| nb.len() + c.len() >= parent.size()) {
+                return None;
+            }
+            children.push(*self.block_index.get(c)?);
+        }
+        Some(children)
+    }
 }
 
 /// One entry of the DP table: the optimal cost of a subproblem, and the

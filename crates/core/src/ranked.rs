@@ -36,8 +36,8 @@ use crate::cost::{BagCost, Constraints, CostValue};
 use crate::mintriang::{DpTable, DpWork, Preprocessed, Triangulation};
 use crate::pool::{TaskPanic, WorkerPool};
 use crate::symmetry::{ModuloDedup, OrbitContext};
+use mtr_chordal::minimal_separators_from_cliques;
 use mtr_graph::{Graph, VertexSet};
-use mtr_separators::enumerate::minimal_separators;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
@@ -464,8 +464,10 @@ impl RankedState {
                 .is_none_or(|dedup| dedup.admit_result(&fill));
             let is_new = self.emitted_fills.insert(fill);
             // The minimal separators of H feed both the partition expansion
-            // and the emitted result: compute them once and share.
-            let seps_of_h = minimal_separators(&best.graph);
+            // and the emitted result: compute them once and share. H is
+            // chordal, so they come from its maximal cliques, which the
+            // rebuild has just listed.
+            let seps_of_h = minimal_separators_from_cliques(best.bags.clone());
             let children = self.expand(pre, cost, &seps_of_h, &node.constraints, key);
             self.enqueue(Some(Arc::new(table)), children, &mut solve);
             if self.failed.is_some() {

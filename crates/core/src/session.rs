@@ -40,7 +40,7 @@
 use crate::cancel::CancelFlag;
 use crate::cost::{named_cost, BagCost, CostValue, DynBagCost, Width};
 use crate::diverse::{DiversityFilter, SimilarityMeasure};
-use crate::mintriang::Preprocessed;
+use crate::mintriang::{potential_maximal_cliques_counted, Preprocessed};
 use crate::pool::{self, resolve_threads, WorkerPool};
 use crate::properdec::RankedDecomposition;
 use crate::ranked::{RankedState, RankedTriangulation};
@@ -50,7 +50,6 @@ use mtr_chordal::{
 };
 use mtr_graph::io::ParseError;
 use mtr_graph::Graph;
-use mtr_pmc::enumerate::potential_maximal_cliques_until;
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -957,7 +956,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
                 // fans out over the pool workers.
                 let deadline_at = deadline.and_then(|d| started.checked_add(d));
                 let max_size = width_bound.map(|b| b + 1);
-                let Ok(e) = potential_maximal_cliques_until(g, max_size, deadline_at) else {
+                let Ok(e) = potential_maximal_cliques_counted(g, max_size, deadline_at) else {
                     let elapsed = started.elapsed();
                     let stats = EnumerationStats {
                         cost: cost_name,

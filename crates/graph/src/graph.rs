@@ -242,34 +242,69 @@ impl Graph {
         g
     }
 
+    /// Connected components of the subgraph induced by `within`, with their
+    /// open neighborhoods in the whole graph, written into `out`.
+    ///
+    /// This is the workspace's one component routine. Each component grows
+    /// by word-parallel frontier expansion: the adjacency rows of the
+    /// frontier are unioned, then masked by the vertices of `within` not yet
+    /// reached. The union of every row a component visits, minus the
+    /// component, is its neighborhood `N(C)`; it lies outside `within`.
+    /// Components come in order of their smallest vertex. `out` keeps its
+    /// buffers across calls, so a caller that reuses it allocates only
+    /// when a call finds more components than any call before.
+    pub fn components_into(&self, within: &VertexSet, out: &mut Components) {
+        debug_assert_eq!(within.universe(), self.n);
+        out.reset(self.n);
+        let Components {
+            comps,
+            nbhds,
+            len,
+            left,
+            frontier,
+            reach,
+        } = out;
+        left.copy_from(within);
+        while let Some(start) = left.min_vertex() {
+            if comps.len() == *len {
+                comps.push(VertexSet::empty(self.n));
+                nbhds.push(VertexSet::empty(self.n));
+            }
+            let (comp, nbhd) = (&mut comps[*len], &mut nbhds[*len]);
+            *len += 1;
+            left.remove(start);
+            comp.clear();
+            comp.insert(start);
+            nbhd.clear();
+            frontier.copy_from(comp);
+            loop {
+                reach.clear();
+                for v in frontier.iter() {
+                    reach.union_with(&self.adj[v as usize]);
+                }
+                nbhd.union_with(reach);
+                reach.intersect_with(left);
+                if reach.is_empty() {
+                    break;
+                }
+                left.difference_with(reach);
+                comp.union_with(reach);
+                std::mem::swap(frontier, reach);
+            }
+            nbhd.difference_with(comp);
+        }
+    }
+
     /// Connected components of the subgraph induced by `within`.
     ///
     /// Each component is returned as a [`VertexSet`] in the *original* vertex
     /// indexing. Components are returned in order of their smallest vertex.
+    /// A one-off wrapper over [`Graph::components_into`].
     pub fn components_within(&self, within: &VertexSet) -> Vec<VertexSet> {
-        let mut seen = VertexSet::empty(self.n);
-        let mut out = Vec::new();
-        let mut stack: Vec<Vertex> = Vec::new();
-        for start in within.iter() {
-            if seen.contains(start) {
-                continue;
-            }
-            let mut comp = VertexSet::empty(self.n);
-            stack.push(start);
-            seen.insert(start);
-            comp.insert(start);
-            while let Some(v) = stack.pop() {
-                let nbrs = self.adj[v as usize].intersection(within);
-                for w in nbrs.iter() {
-                    if seen.insert(w) {
-                        comp.insert(w);
-                        stack.push(w);
-                    }
-                }
-            }
-            out.push(comp);
-        }
-        out
+        let mut out = Components::default();
+        self.components_into(within, &mut out);
+        out.comps.truncate(out.len);
+        out.comps
     }
 
     /// Connected components of `G \ removed` (a `U`-component for `U = removed`).
@@ -337,6 +372,52 @@ impl Graph {
             "supergraph is missing an edge of the base graph"
         );
         fill
+    }
+}
+
+/// The connected components of an induced subgraph and their open
+/// neighborhoods, as [`Graph::components_into`] leaves them: buffers that
+/// are reused from one call to the next.
+#[derive(Clone, Debug, Default)]
+pub struct Components {
+    /// The components, then spare buffers from earlier calls.
+    comps: Vec<VertexSet>,
+    /// `nbhds[i] = N(comps[i])`.
+    nbhds: Vec<VertexSet>,
+    len: usize,
+    /// Vertices of `within` no component has reached yet.
+    left: VertexSet,
+    frontier: VertexSet,
+    reach: VertexSet,
+}
+
+impl Components {
+    /// Empties the result, and fits the buffers to a universe of `n`.
+    fn reset(&mut self, n: u32) {
+        self.len = 0;
+        if self.left.universe() != n {
+            self.comps.clear();
+            self.nbhds.clear();
+            self.left = VertexSet::empty(n);
+            self.frontier = VertexSet::empty(n);
+            self.reach = VertexSet::empty(n);
+        }
+    }
+
+    /// Number of components.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when there are no components.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Each component with its open neighborhood, in order of the
+    /// component's smallest vertex.
+    pub fn iter(&self) -> impl Iterator<Item = (&VertexSet, &VertexSet)> {
+        self.comps[..self.len].iter().zip(&self.nbhds[..self.len])
     }
 }
 
@@ -478,6 +559,86 @@ mod tests {
         // Within {w1, w2, w3} there are no edges: three components.
         let ws = VertexSet::from_slice(6, &[3, 4, 5]);
         assert_eq!(g.components_within(&ws).len(), 3);
+    }
+
+    /// Components of `g[within]` by a per-vertex depth-first search, in
+    /// order of their smallest vertex, each with its neighborhood.
+    fn components_by_dfs(g: &Graph, within: &VertexSet) -> Vec<(VertexSet, VertexSet)> {
+        let mut seen = VertexSet::empty(g.n());
+        let mut out = Vec::new();
+        for start in within.iter() {
+            if !seen.insert(start) {
+                continue;
+            }
+            let mut comp = VertexSet::singleton(g.n(), start);
+            let mut stack = vec![start];
+            while let Some(v) = stack.pop() {
+                for w in g.neighbors(v).iter() {
+                    if within.contains(w) && seen.insert(w) {
+                        comp.insert(w);
+                        stack.push(w);
+                    }
+                }
+            }
+            let mut nbhd = VertexSet::empty(g.n());
+            for v in comp.iter() {
+                for w in g.neighbors(v).iter() {
+                    if !comp.contains(w) {
+                        nbhd.insert(w);
+                    }
+                }
+            }
+            out.push((comp, nbhd));
+        }
+        out
+    }
+
+    #[test]
+    fn components_into_matches_dfs_across_word_boundaries() {
+        // A fixed xorshift stream, so the graphs are the same on every run.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // One buffer for every call, across universe sizes too.
+        let mut comps = Components::default();
+        for n in [63u32, 64, 65, 130] {
+            // Expected degrees from 1 (many small components) to 16.
+            for degree in [1u64, 2, 4, 16] {
+                let mut g = Graph::new(n);
+                for u in 0..n {
+                    for v in (u + 1)..n {
+                        if next() % u64::from(n) < degree {
+                            g.add_edge(u, v);
+                        }
+                    }
+                }
+                for keep in [1u64, 2, 3] {
+                    let within = VertexSet::from_iter(n, (0..n).filter(|_| next() % 4 < keep + 1));
+                    let expected = components_by_dfs(&g, &within);
+                    g.components_into(&within, &mut comps);
+                    let got: Vec<(VertexSet, VertexSet)> = comps
+                        .iter()
+                        .map(|(c, nb)| (c.clone(), nb.clone()))
+                        .collect();
+                    assert_eq!(got, expected, "n {n}, degree {degree}, keep {keep}");
+                    assert_eq!(comps.len(), expected.len());
+                    let plain: Vec<VertexSet> = expected.into_iter().map(|(c, _)| c).collect();
+                    assert_eq!(g.components_within(&within), plain);
+                }
+            }
+        }
+        // The same buffer, back at a smaller universe: every vertex its own
+        // component, then no vertex at all.
+        let g = Graph::new(65);
+        g.components_into(&g.vertex_set(), &mut comps);
+        assert_eq!(comps.len(), 65);
+        assert!(comps.iter().all(|(c, nb)| c.len() == 1 && nb.is_empty()));
+        g.components_into(&VertexSet::empty(65), &mut comps);
+        assert!(comps.is_empty());
     }
 
     #[test]

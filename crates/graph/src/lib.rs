@@ -30,7 +30,7 @@ pub mod io;
 pub mod vertexset;
 
 pub use canonical::{AutGroup, CanonicalForm, CanonicalKey};
-pub use graph::Graph;
+pub use graph::{Components, Graph};
 pub use hypergraph::Hypergraph;
 pub use vertexset::{Vertex, VertexSet};
 

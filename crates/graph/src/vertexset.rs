@@ -312,6 +312,14 @@ impl VertexSet {
     }
 }
 
+impl Default for VertexSet {
+    /// The empty set over the empty universe, a placeholder for scratch
+    /// sets that are sized on first use.
+    fn default() -> Self {
+        VertexSet::empty(0)
+    }
+}
+
 impl fmt::Debug for VertexSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.iter()).finish()

@@ -23,9 +23,23 @@
 //! enumeration by property tests over random graphs (see
 //! `tests/substrate_properties.rs` at the workspace root and the unit tests
 //! below).
+//!
+//! **Work per prefix.** Every set lives in the universe of `G`: the prefix
+//! graph `G_i` is one `n`-vertex graph that gains vertex `a`'s edges to
+//! earlier vertices at step `i`, so no candidate or component is ever
+//! projected between universes. Family 3 takes the components of
+//! `G_i \ S` and their neighborhoods from one [`Graph::components_into`]
+//! pass per `S`, and builds each `S ∪ (T ∩ C)` in one scratch set,
+//! skipping the `T` that miss `C`. A candidate is cloned into the
+//! per-prefix set only when it is new and within `max_size`, and every
+//! candidate goes through one reusable `PmcTest` over `within = V(G_i)`.
+//! Only the prefix separators are still computed on a compact copy,
+//! `minimal_separators(&g.induced_prefix(i))`. [`PmcEnumeration`] reports
+//! how many candidates went through the exact test and how many passed,
+//! the deterministic measure of this layer's work.
 
-use crate::test::is_potential_maximal_clique;
-use mtr_graph::{Graph, VertexSet};
+use crate::test::PmcTest;
+use mtr_graph::{Components, Graph, VertexSet};
 use mtr_separators::enumerate::minimal_separators;
 use std::collections::HashSet;
 use std::time::Instant;
@@ -51,6 +65,10 @@ pub struct PmcEnumeration {
     pub pmcs: Vec<VertexSet>,
     /// All minimal separators of the input graph, sorted.
     pub minimal_separators: Vec<VertexSet>,
+    /// Candidates handed to the exact PMC test, summed over all prefixes.
+    pub candidates_tested: u64,
+    /// Candidates the exact test accepted, summed over all prefixes.
+    pub candidates_accepted: u64,
 }
 
 /// Enumerates all potential maximal cliques of `g`, along with its minimal
@@ -89,141 +107,117 @@ pub fn potential_maximal_cliques_until(
         return Ok(PmcEnumeration {
             pmcs: Vec::new(),
             minimal_separators: Vec::new(),
+            candidates_tested: 0,
+            candidates_accepted: 0,
         });
     }
-    let keep_pmc = |s: &VertexSet| max_size.is_none_or(|m| s.len() <= m);
-    let keep_sep = |s: &VertexSet| max_size.is_none_or(|m| s.len() <= m);
+    let fits = |s: &VertexSet| max_size.is_none_or(|m| s.len() <= m);
+    let (mut tested, mut accepted) = (0, 0);
 
-    // Separators of the previous prefix, lifted to the current universe.
+    // Separators of the previous prefix.
     let mut prev_seps: Vec<VertexSet> = Vec::new();
-    // PMCs of the previous prefix, lifted to the current universe.
+    // PMCs of the previous prefix.
     let mut prev_pmcs: Vec<VertexSet> = vec![VertexSet::singleton(n, 0)];
-    let mut cur_seps: Vec<VertexSet> = Vec::new();
+    // The prefix graph `G_i` over the full universe: vertex `a` gains its
+    // edges to earlier vertices at step `i`, later vertices stay isolated.
+    let mut gi = Graph::new(n);
+    let mut prefix = VertexSet::singleton(n, 0);
+    let mut candidates: HashSet<VertexSet> = HashSet::new();
+    // Scratch reused by every prefix.
+    let mut cand = VertexSet::empty(n);
+    let mut rest = VertexSet::empty(n);
+    let mut comps = Components::default();
+    let mut test = PmcTest::default();
+    // Offers `cand` as a candidate: cloned only when it is new and fits.
+    let offer = |cand: &VertexSet, candidates: &mut HashSet<VertexSet>| {
+        if fits(cand) && !candidates.contains(cand) {
+            candidates.insert(cand.clone());
+        }
+    };
 
     for i in 2..=n {
         if expired() {
             return Err(PmcDeadlineExceeded);
         }
         let a = i - 1; // the newly introduced vertex
-        let gi = g.induced_prefix(i);
+        for v in g.neighbors(a).iter().take_while(|&v| v < a) {
+            gi.add_edge(a, v);
+        }
+        prefix.insert(a);
         // Minimal separators of the prefix graph, in the full universe.
-        cur_seps = minimal_separators(&gi)
+        let cur_seps: Vec<VertexSet> = minimal_separators(&g.induced_prefix(i))
             .into_iter()
             .map(|s| s.resized(n))
-            .filter(|s| keep_sep(s))
+            .filter(|s| fits(s))
             .collect();
 
-        let mut candidates: HashSet<VertexSet> = HashSet::new();
         // Family 0: the new vertex on its own (needed when `a` is isolated in
         // the prefix, e.g. while its only neighbors are later vertices).
-        candidates.insert(VertexSet::singleton(n, a));
+        cand.clear();
+        cand.insert(a);
+        offer(&cand, &mut candidates);
         // Family 1: previous PMCs, with and without the new vertex.
         for omega in &prev_pmcs {
-            candidates.insert(omega.clone());
-            let mut with_a = omega.clone();
-            with_a.insert(a);
-            candidates.insert(with_a);
+            offer(omega, &mut candidates);
+            cand.copy_from(omega);
+            cand.insert(a);
+            offer(&cand, &mut candidates);
         }
         // Family 2: S ∪ {a} for S ∈ MinSep(G_i).
         for s in &cur_seps {
-            let mut cand = s.clone();
+            cand.copy_from(s);
             cand.insert(a);
-            candidates.insert(cand);
+            offer(&cand, &mut candidates);
         }
         // Family 3: S ∪ (T ∩ C) for S in MinSep(G_i) ∪ MinSep(G_{i-1}),
         // a ∉ S, T ∈ MinSep(G_i), and C either the component of G_i \ S
-        // containing a or any full component of G_i \ S.
-        let prefix_universe = VertexSet::from_iter(n, 0..i);
+        // containing a or any full component of G_i \ S. One component
+        // pass per S gives every C with its neighborhood.
         for s in cur_seps.iter().chain(prev_seps.iter()) {
             if s.contains(a) {
                 continue;
             }
-            let mut removed = s.clone();
-            removed.union_with(&prefix_universe.complement());
-            let comps = gi_components(&gi, &removed, n);
-            let mut interesting: Vec<&VertexSet> = Vec::new();
-            for c in &comps {
-                let is_a_comp = c.contains(a);
-                let nb = neighborhood_in_prefix(g, c, &prefix_universe);
-                let is_full = s.is_subset_of(&nb);
-                if is_a_comp || is_full {
-                    interesting.push(c);
+            rest.copy_from(&prefix);
+            rest.difference_with(s);
+            gi.components_into(&rest, &mut comps);
+            for (c, nb) in comps.iter() {
+                if !c.contains(a) && !s.is_subset_of(nb) {
+                    continue;
                 }
-            }
-            for c in interesting {
-                let mut pieces: HashSet<VertexSet> = HashSet::new();
-                for t in &cur_seps {
-                    let piece = t.intersection(c);
-                    if !piece.is_empty() {
-                        pieces.insert(piece);
-                    }
-                }
-                for piece in pieces {
-                    let mut cand = s.clone();
-                    cand.union_with(&piece);
-                    candidates.insert(cand);
+                for t in cur_seps.iter().filter(|t| t.intersects(c)) {
+                    cand.copy_from(t);
+                    cand.intersect_with(c);
+                    cand.union_with(s);
+                    offer(&cand, &mut candidates);
                 }
             }
         }
 
         // Filter candidates through the exact PMC test on the prefix graph.
         let mut next_pmcs: Vec<VertexSet> = Vec::new();
-        let mut since_check = 0usize;
-        for cand in candidates {
-            since_check += 1;
-            if since_check.is_multiple_of(256) && expired() {
+        for (k, cand) in candidates.drain().enumerate() {
+            if (k + 1).is_multiple_of(256) && expired() {
                 return Err(PmcDeadlineExceeded);
             }
-            if !keep_pmc(&cand) {
-                continue;
-            }
-            // Candidate must be inside the prefix.
-            if !cand.is_subset_of(&prefix_universe) {
-                continue;
-            }
-            let shrunk = restrict_universe(&cand, i);
-            if is_potential_maximal_clique(&gi, &shrunk) {
+            tested += 1;
+            if test.is_pmc(&gi, &prefix, &cand) {
+                accepted += 1;
                 next_pmcs.push(cand);
             }
         }
         next_pmcs.sort();
-        next_pmcs.dedup();
         prev_pmcs = next_pmcs;
-        prev_seps = cur_seps.clone();
+        prev_seps = cur_seps;
     }
 
-    // For n == 1 the loop body never runs; the single vertex is the only PMC.
-    let minimal_separators = if n == 1 { Vec::new() } else { cur_seps };
-    let mut pmcs = prev_pmcs;
-    pmcs.sort();
+    // After the last prefix, `prev_seps` holds MinSep(G); for n == 1 the
+    // loop body never runs, and the single vertex is the only PMC.
     Ok(PmcEnumeration {
-        pmcs,
-        minimal_separators,
+        pmcs: prev_pmcs,
+        minimal_separators: prev_seps,
+        candidates_tested: tested,
+        candidates_accepted: accepted,
     })
-}
-
-/// Components of the prefix graph `gi` (which has `i ≤ n` vertices) after
-/// removing `removed` (given in the full `n`-vertex universe), returned in
-/// the full universe.
-fn gi_components(gi: &Graph, removed: &VertexSet, n: u32) -> Vec<VertexSet> {
-    let removed_small = restrict_universe(removed, gi.n());
-    gi.components_excluding(&removed_small)
-        .into_iter()
-        .map(|c| c.resized(n))
-        .collect()
-}
-
-/// Neighborhood of `set` within the prefix, computed on the full graph but
-/// clipped to the prefix universe.
-fn neighborhood_in_prefix(g: &Graph, set: &VertexSet, prefix: &VertexSet) -> VertexSet {
-    let mut nb = g.neighborhood_of_set(set);
-    nb.intersect_with(prefix);
-    nb
-}
-
-/// Projects a set in the `n`-vertex universe down to the first `k` vertices.
-fn restrict_universe(s: &VertexSet, k: u32) -> VertexSet {
-    VertexSet::from_iter(k, s.iter().filter(|&v| v < k))
 }
 
 #[cfg(test)]

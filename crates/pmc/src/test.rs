@@ -11,43 +11,72 @@
 //!    `y` in its neighborhood (so saturating the associated minimal
 //!    separator `N(C)` adds the missing edge).
 //!
-//! Both conditions are checked here in `O(n·m)` time.
+//! Both conditions are checked here in `O(n·m)` time, by `PmcTest` on
+//! buffers it keeps from one test to the next: one pass of
+//! [`Graph::components_into`] gives every component of `G \ Ω` with its
+//! neighborhood, and each condition is a few word-parallel set operations.
 
-use mtr_graph::{Graph, VertexSet};
+use mtr_graph::{Components, Graph, VertexSet};
 
-/// `true` iff `omega` is a potential maximal clique of `g`.
+/// `true` iff `omega` is a potential maximal clique of `g`. A one-off
+/// wrapper over `PmcTest`, which the enumeration reuses across candidates.
 pub fn is_potential_maximal_clique(g: &Graph, omega: &VertexSet) -> bool {
-    if omega.is_empty() {
-        return false;
-    }
-    let comps = g.components_excluding(omega);
-    let neighborhoods: Vec<VertexSet> = comps.iter().map(|c| g.neighborhood_of_set(c)).collect();
-    // Condition 1: no full component.
-    if neighborhoods.iter().any(|nb| nb == omega) {
-        return false;
-    }
-    // Condition 2: cliquish, word-parallel. For a fixed `x ∈ Ω` every
-    // missing partner `y` must share a component neighborhood with `x`, so
-    // the union of the neighborhoods containing `x` must cover all of
-    // `Ω \ N(x) \ {x}` — one subset test over bit words per vertex instead
-    // of a component scan per non-adjacent pair.
-    let mut covered = VertexSet::empty(omega.universe());
-    let mut need = VertexSet::empty(omega.universe());
-    for x in omega.iter() {
-        covered.clear();
-        for nb in &neighborhoods {
-            if nb.contains(x) {
-                covered.union_with(nb);
-            }
-        }
-        need.copy_from(omega);
-        need.difference_with(g.neighbors(x));
-        need.remove(x);
-        if !need.is_subset_of(&covered) {
+    PmcTest::default().is_pmc(g, &g.vertex_set(), omega)
+}
+
+/// The exact PMC test, with the scratch sets and component buffers it
+/// reuses across calls.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PmcTest {
+    comps: Components,
+    rest: VertexSet,
+    covered: VertexSet,
+    need: VertexSet,
+}
+
+impl PmcTest {
+    /// `true` iff `omega ⊆ within` is a potential maximal clique of the
+    /// induced subgraph `g[within]`.
+    pub(crate) fn is_pmc(&mut self, g: &Graph, within: &VertexSet, omega: &VertexSet) -> bool {
+        debug_assert!(omega.is_subset_of(within));
+        if omega.is_empty() {
             return false;
         }
+        if self.rest.universe() != g.n() {
+            self.rest = VertexSet::empty(g.n());
+            self.covered = VertexSet::empty(g.n());
+            self.need = VertexSet::empty(g.n());
+        }
+        self.rest.copy_from(within);
+        self.rest.difference_with(omega);
+        g.components_into(&self.rest, &mut self.comps);
+        // A neighborhood may reach past `within`, but its part inside is
+        // within `Ω`; so `Ω ⊆ N(C)` is what makes `C` full in `g[within]`.
+        // Condition 1: no full component.
+        if self.comps.iter().any(|(_, nb)| omega.is_subset_of(nb)) {
+            return false;
+        }
+        // Condition 2: cliquish, word-parallel. For a fixed `x ∈ Ω` every
+        // missing partner `y` must share a component neighborhood with `x`,
+        // so the union of the neighborhoods containing `x` must cover all of
+        // `Ω \ N(x) \ {x}` — one subset test over bit words per vertex
+        // instead of a component scan per non-adjacent pair.
+        for x in omega.iter() {
+            self.covered.clear();
+            for (_, nb) in self.comps.iter() {
+                if nb.contains(x) {
+                    self.covered.union_with(nb);
+                }
+            }
+            self.need.copy_from(omega);
+            self.need.difference_with(g.neighbors(x));
+            self.need.remove(x);
+            if !self.need.is_subset_of(&self.covered) {
+                return false;
+            }
+        }
+        true
     }
-    true
 }
 
 #[cfg(test)]

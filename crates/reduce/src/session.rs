@@ -76,7 +76,7 @@ use crate::plan::{plan_canonical, plan_identity, StreamPlan};
 use mtr_cache::{AtomKey, AtomStore, CachedPrefix, DEFAULT_BYTE_BUDGET};
 use mtr_core::cost::{AtomCombine, BagCost};
 use mtr_core::diverse::DiversityFilter;
-use mtr_core::mintriang::Preprocessed;
+use mtr_core::mintriang::{potential_maximal_cliques_counted, Preprocessed};
 use mtr_core::pool::{self, resolve_threads, WorkerPool};
 use mtr_core::ranked::RankedTriangulation;
 use mtr_core::session::{
@@ -85,7 +85,7 @@ use mtr_core::session::{
 };
 use mtr_core::symmetry::SymmetryPolicy;
 use mtr_graph::Graph;
-use mtr_pmc::enumerate::{potential_maximal_cliques_until, PmcDeadlineExceeded};
+use mtr_pmc::enumerate::PmcDeadlineExceeded;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -425,7 +425,7 @@ fn build_stream(
     width_bound: Option<usize>,
     deadline_at: Option<Instant>,
 ) -> Result<AtomStream, PmcDeadlineExceeded> {
-    let e = potential_maximal_cliques_until(graph, width_bound.map(|b| b + 1), deadline_at)?;
+    let e = potential_maximal_cliques_counted(graph, width_bound.map(|b| b + 1), deadline_at)?;
     let pre =
         Preprocessed::from_parts_threaded(graph, e.minimal_separators, e.pmcs, width_bound, 1);
     Ok(AtomStream::cold(pre, key))

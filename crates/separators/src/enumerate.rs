@@ -8,13 +8,18 @@
 //! component `C` of `G \ (S ∪ N(x))`. The process is a fixpoint computation
 //! whose total work is polynomial per produced separator.
 //!
+//! Each step builds the vertices left after removing `S ∪ N[x]` in one
+//! scratch set and takes every `N(C)` straight from one
+//! [`Graph::components_into`] pass over them, on buffers reused by every
+//! step; a separator is cloned only when it is new.
+//!
 //! A brute-force enumerator over all vertex subsets is provided for
 //! cross-validation on small graphs, together with the standard
 //! characterization used by both: `S` is a minimal separator iff `G \ S` has
 //! at least two components whose neighborhood is exactly `S` ("full"
 //! components).
 
-use mtr_graph::{Graph, VertexSet};
+use mtr_graph::{Components, Graph, VertexSet};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -64,21 +69,30 @@ pub fn minimal_separators_with_limits(
     let start = Instant::now();
     let mut found: HashSet<VertexSet> = HashSet::new();
     let mut queue: Vec<VertexSet> = Vec::new();
+    // Scratch reused by every step: the vertices left after removing
+    // `S ∪ N[x]`, and the components of what is left.
+    let all = g.vertex_set();
+    let mut rest = VertexSet::empty(g.n());
+    let mut comps = Components::default();
 
-    let push = |s: VertexSet, found: &mut HashSet<VertexSet>, queue: &mut Vec<VertexSet>| {
-        if !s.is_empty() && !found.contains(&s) {
-            found.insert(s.clone());
-            queue.push(s);
-        }
-    };
+    // Pushes `N(C)` for every component `C` of `G[rest]`.
+    let mut push_neighborhoods =
+        |rest: &VertexSet, found: &mut HashSet<VertexSet>, queue: &mut Vec<VertexSet>| {
+            g.components_into(rest, &mut comps);
+            for (_, s) in comps.iter() {
+                if !s.is_empty() && !found.contains(s) {
+                    found.insert(s.clone());
+                    queue.push(s.clone());
+                }
+            }
+        };
 
     // Initialization: close separators around every vertex.
     for v in g.vertices() {
-        let closed = g.closed_neighbors(v);
-        for c in g.components_excluding(&closed) {
-            let s = g.neighborhood_of_set(&c);
-            push(s, &mut found, &mut queue);
-        }
+        rest.copy_from(&all);
+        rest.difference_with(g.neighbors(v));
+        rest.remove(v);
+        push_neighborhoods(&rest, &mut found, &mut queue);
     }
 
     // Generation step.
@@ -98,13 +112,10 @@ pub fn minimal_separators_with_limits(
             }
         }
         for x in s.iter() {
-            let mut removed = s.clone();
-            removed.union_with(g.neighbors(x));
-            removed.insert(x);
-            for c in g.components_excluding(&removed) {
-                let t = g.neighborhood_of_set(&c);
-                push(t, &mut found, &mut queue);
-            }
+            rest.copy_from(&all);
+            rest.difference_with(&s);
+            rest.difference_with(g.neighbors(x));
+            push_neighborhoods(&rest, &mut found, &mut queue);
         }
     }
 

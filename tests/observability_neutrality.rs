@@ -211,3 +211,41 @@ fn traced_session_leaves_its_spans_in_the_ring() {
         emit.attrs
     );
 }
+
+/// PMC enumeration reports its work: `pmc.candidates_tested` counts the
+/// candidates handed to the exact test and `pmc.candidates_accepted`
+/// those that pass, summed over all prefixes, for every preprocessing
+/// path (unbounded, width-bounded, and a session's own). The exact test
+/// filters the candidate families, so a change to them would not show in
+/// the enumeration's output; the counts are pinned so that it shows here.
+#[test]
+fn pmc_enumeration_counts_its_candidates() {
+    use mtr_core::Preprocessed;
+    use mtr_workloads::random::gnp_connected;
+    use mtr_workloads::structured::{grid, mycielski};
+    let _guard = obs_lock();
+    obs::set_level(obs::Level::Metrics);
+    let count = |name| obs::counter_value(name).expect("PMC counters are registered");
+
+    obs::reset();
+    Preprocessed::new(&grid(4, 4));
+    assert_eq!(count("pmc.candidates_tested"), 6_557, "grid(4,4)");
+    assert_eq!(count("pmc.candidates_accepted"), 1_303, "grid(4,4)");
+
+    obs::reset();
+    Enumerate::on(&mycielski(4))
+        .cost(&FillIn)
+        .max_results(1)
+        .run()
+        .expect("plain session");
+    assert_eq!(count("pmc.candidates_tested"), 524, "mycielski(4)");
+    assert_eq!(count("pmc.candidates_accepted"), 168, "mycielski(4)");
+
+    // Width bound 4: PMCs of at most 5 vertices.
+    obs::reset();
+    Preprocessed::new_bounded(&gnp_connected(20, 0.2, 7), 4);
+    assert_eq!(count("pmc.candidates_tested"), 3_161, "gnp(20,0.2,7)");
+    assert_eq!(count("pmc.candidates_accepted"), 835, "gnp(20,0.2,7)");
+
+    obs::set_level(obs::Level::Off);
+}

@@ -9,6 +9,7 @@ mod common;
 use common::arbitrary_graph;
 use mtr_chordal::{
     clique_tree, is_chordal, is_minimal_triangulation, lb_triang, maximal_cliques_chordal, mcs_m,
+    minimal_separators_from_cliques,
 };
 use mtr_graph::{Graph, VertexSet};
 use mtr_pmc::{potential_maximal_cliques, potential_maximal_cliques_bruteforce};
@@ -114,7 +115,11 @@ proptest! {
         expected.sort();
         let mut actual = minimal_separators(&h);
         actual.sort();
-        prop_assert_eq!(actual, expected);
+        prop_assert_eq!(&actual, &expected);
+        // So do the adhesions of its clique tree, the source the ranked
+        // enumeration takes them from.
+        let cliques = maximal_cliques_chordal(&h).expect("H is chordal");
+        prop_assert_eq!(minimal_separators_from_cliques(cliques), expected);
     }
 
     /// Chordality of `G ∪ K_bags` for any valid tree decomposition built by
@@ -123,6 +128,63 @@ proptest! {
     fn saturated_decompositions_are_chordal(g in arbitrary_graph(2, 9)) {
         let trivial = mtr_chordal::TreeDecomposition::trivial(&g);
         prop_assert!(is_chordal(&trivial.saturated_graph(&g)));
+    }
+}
+
+/// `h` placed on the vertices `start..start + |V(h)|` of an `n`-vertex
+/// graph whose other vertices form one clique `K` with no edge to `h`.
+/// Returns the graph and `V(K)`.
+fn embed_beside_clique(h: &Graph, n: u32, start: u32) -> (Graph, VertexSet) {
+    let mut g = Graph::new(n);
+    for (u, v) in h.edges() {
+        g.add_edge(start + u, start + v);
+    }
+    let k = VertexSet::from_iter(n, (0..n).filter(|v| !(start..start + h.n()).contains(v)));
+    g.saturate(&k);
+    (g, k)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Separators and PMCs past one 64-bit word: `H` sits on vertices that
+    /// straddle index 64 of a 72–130-vertex graph, beside a clique `K`.
+    /// `K` is never a full component of a nonempty `S ⊆ V(H)`, and is
+    /// itself one PMC, so the fast paths must give `H`'s brute-force
+    /// separators, lifted, and its PMCs, lifted, plus `V(K)`.
+    #[test]
+    fn multi_word_universes_match_bruteforce(
+        h in arbitrary_graph(3, 9),
+        n in 72u32..=130,
+        below in 1u32..=8,
+        bound in 1usize..6,
+    ) {
+        // At least one vertex of H below index 64, and one at or above it.
+        let start = 64 - below.min(h.n() - 1);
+        let (g, k) = embed_beside_clique(&h, n, start);
+        let lift = |sets: Vec<VertexSet>| {
+            let mut lifted: Vec<VertexSet> = sets
+                .iter()
+                .map(|s| VertexSet::from_iter(n, s.iter().map(|v| start + v)))
+                .collect();
+            lifted.sort();
+            lifted
+        };
+        let seps = lift(minimal_separators_bruteforce(&h));
+        let mut pmcs = lift(potential_maximal_cliques_bruteforce(&h));
+        pmcs.push(k);
+        pmcs.sort();
+
+        prop_assert_eq!(&minimal_separators(&g), &seps);
+        let e = potential_maximal_cliques(&g);
+        prop_assert_eq!(&e.minimal_separators, &seps);
+        prop_assert_eq!(&e.pmcs, &pmcs);
+        let bounded = mtr_pmc::potential_maximal_cliques_bounded(&g, bound);
+        let fits = |sets: &[VertexSet]| -> Vec<VertexSet> {
+            sets.iter().filter(|s| s.len() <= bound).cloned().collect()
+        };
+        prop_assert_eq!(bounded.minimal_separators, fits(&seps));
+        prop_assert_eq!(bounded.pmcs, fits(&pmcs));
     }
 }
 
