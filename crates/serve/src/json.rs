@@ -137,6 +137,7 @@ pub const MAX_DEPTH: usize = 64;
 /// whitespace after the document is an error.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -151,6 +152,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Current container nesting, bounded by [`MAX_DEPTH`].
@@ -321,13 +323,18 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err("raw control byte in string".into()),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so boundaries
-                    // are guaranteed valid).
+                    // Copy the run of plain characters up to the next quote,
+                    // backslash or control byte as one slice of the input.
+                    // Those bytes are ASCII, so the run ends on a character
+                    // boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    let plain = self.text.get(self.pos..self.pos + run);
+                    out.push_str(plain.ok_or("invalid utf-8")?);
+                    self.pos += run;
                 }
             }
         }
@@ -429,6 +436,26 @@ mod tests {
         let wire = format!("\"{}\"", escape(original));
         let back = parse(&wire).expect("valid");
         assert_eq!(back.as_str(), Some(original));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A string that fills the daemon's input cap: re-validating the rest
+        // of the line per character took tens of seconds at this length.
+        let len = crate::server::MAX_INBUF - 16;
+        let body = "é".repeat(len / 4) + &"a".repeat(len / 2);
+        let wire = format!("{{\"s\":\"{body}\\n\"}}");
+        let started = std::time::Instant::now();
+        let value = parse(&wire).expect("valid");
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(2),
+            "took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(
+            value.get("s").and_then(Json::as_str),
+            Some(body + "\n").as_deref()
+        );
     }
 
     #[test]

@@ -778,22 +778,29 @@ fn event_loop(listener: NetListener, shared: &Arc<Shared>, allow_remote_shutdown
             }
 
             // Parse complete lines unless a session is in flight (frames
-            // arriving meanwhile stay buffered — pipelining).
+            // arriving meanwhile stay buffered — pipelining). Lines are
+            // consumed by offset and the buffer is compacted once per pass,
+            // so a pass is linear in the bytes it parses however many lines
+            // they hold.
+            let mut consumed = 0;
             while !drop_conn
                 && !conns[i].close_after_flush
                 && !matches!(conns[i].stage, Stage::Busy)
             {
-                let Some(nl) = conns[i].inbuf.iter().position(|&b| b == b'\n') else {
+                let rest = &conns[i].inbuf[consumed..];
+                let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
                     break;
                 };
-                let line: Vec<u8> = conns[i].inbuf.drain(..=nl).collect();
-                let line = String::from_utf8_lossy(&line[..nl]).into_owned();
+                let line = String::from_utf8_lossy(&rest[..nl]);
+                consumed += nl + 1;
                 if line.trim().is_empty() {
                     continue;
                 }
+                let line = line.into_owned();
                 progressed = true;
                 handle_line(&mut conns[i], &line, shared, allow_remote_shutdown);
             }
+            conns[i].inbuf.drain(..consumed);
 
             // A full inbuf with no newline can never complete: refuse the
             // oversized line. (While Busy the bytes may hold well-formed

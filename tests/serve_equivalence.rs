@@ -28,6 +28,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::ops::ControlFlow;
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// One daemon shared by the proptest cases (starting a daemon per case
 /// would dominate the runtime). The handle lives for the whole test
@@ -471,6 +472,39 @@ fn hostile_frames_are_refused_and_the_daemon_survives() {
     let (served, stop, _) = served_stream(&addr, &request_for(&g, "fill", false, None));
     assert_eq!(stop, "exhausted");
     assert_eq!(served.len(), reference.len());
+    handle.shutdown();
+}
+
+/// Blank lines cost the IO thread time linear in their bytes: a hello sent
+/// behind a megabyte of them is acknowledged promptly. Shifting the rest of
+/// the input buffer once per line made this take seconds, during which the
+/// one IO thread served no other connection.
+#[test]
+fn hello_behind_a_million_blank_lines_is_acknowledged_promptly() {
+    let handle = serve_ephemeral(ServerConfig {
+        workers: 1,
+        allow_remote_shutdown: false,
+        ..ServerConfig::default()
+    })
+    .expect("bind daemon");
+    let addr = handle.local_addr().expect("tcp daemon").to_string();
+
+    let mut payload = vec![b'\n'; 1_000_000];
+    payload.extend_from_slice(ranked_triangulations::serve::protocol::hello_frame().as_bytes());
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let started = Instant::now();
+    stream
+        .write_all(&payload)
+        .expect("send blank lines and hello");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("hello ack");
+    let elapsed = started.elapsed();
+    assert!(line.contains("\"server\": \"mtr-serve\""), "got: {line}");
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "acknowledged after {elapsed:?}"
+    );
     handle.shutdown();
 }
 
