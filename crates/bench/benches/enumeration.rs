@@ -4,27 +4,17 @@
 //! without Lawler constraints.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mtr_bench::baseline_instances;
 use mtr_core::cost::{Constraints, FillIn, Width};
 use mtr_core::{min_triangulation, min_triangulation_with, CkkEnumerator, Enumerate, Preprocessed};
-use mtr_graph::Graph;
-use mtr_workloads::random::gnp_connected;
-use mtr_workloads::structured::{grid, mycielski};
 use std::time::Duration;
-
-fn instances() -> Vec<(&'static str, Graph)> {
-    vec![
-        ("grid4x4", grid(4, 4)),
-        ("myciel4", mycielski(4)),
-        ("gnp20_020", gnp_connected(20, 0.20, 7)),
-    ]
-}
 
 fn bench_min_triangulation(c: &mut Criterion) {
     let mut group = c.benchmark_group("min_triangulation");
     group
         .sample_size(20)
         .measurement_time(Duration::from_secs(2));
-    for (name, g) in instances() {
+    for (name, g) in baseline_instances() {
         let pre = Preprocessed::new(&g);
         group.bench_with_input(BenchmarkId::new("width", name), &pre, |b, pre| {
             b.iter(|| min_triangulation(pre, &Width))
@@ -52,7 +42,7 @@ fn bench_ranked_first_10(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
-    for (name, g) in instances() {
+    for (name, g) in baseline_instances() {
         let pre = Preprocessed::new(&g);
         group.bench_with_input(BenchmarkId::from_parameter(name), &pre, |b, pre| {
             b.iter(|| {
@@ -74,7 +64,7 @@ fn bench_ckk_first_10(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
-    for (name, g) in instances() {
+    for (name, g) in baseline_instances() {
         group.bench_with_input(BenchmarkId::from_parameter(name), &g, |b, g| {
             b.iter(|| CkkEnumerator::new(g).take(10).count())
         });

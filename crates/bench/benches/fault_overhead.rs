@@ -17,20 +17,10 @@
 //! mtr-bench --bench fault_overhead`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mtr_bench::baseline_instances;
 use mtr_core::cost::Width;
 use mtr_core::{Enumerate, Preprocessed};
-use mtr_graph::Graph;
-use mtr_workloads::random::gnp_connected;
-use mtr_workloads::structured::{grid, mycielski};
 use std::time::Duration;
-
-fn instances() -> Vec<(&'static str, Graph)> {
-    vec![
-        ("grid4x4", grid(4, 4)),
-        ("myciel4", mycielski(4)),
-        ("gnp20_020", gnp_connected(20, 0.20, 7)),
-    ]
-}
 
 /// The baseline workload with the failpoint registry disarmed (the
 /// production configuration) and with an unrelated point armed (gate up,
@@ -48,7 +38,7 @@ fn bench_fault_overhead(c: &mut Criterion) {
             "armed" => mtr_fault::configure("bench.unrelated", mtr_fault::Outcome::Error),
             _ => mtr_fault::clear_all(),
         }
-        for (name, g) in instances() {
+        for (name, g) in baseline_instances() {
             let pre = Preprocessed::new(&g);
             group.bench_with_input(BenchmarkId::new(mode, name), &pre, |b, pre| {
                 b.iter(|| {

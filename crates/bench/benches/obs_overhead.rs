@@ -15,21 +15,11 @@
 //! mtr-bench --bench obs_overhead`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mtr_bench::baseline_instances;
 use mtr_core::cost::Width;
 use mtr_core::{Enumerate, Preprocessed};
-use mtr_graph::Graph;
 use mtr_serve::{serve_ephemeral, Client, EnumerateRequest, ServerConfig};
-use mtr_workloads::random::gnp_connected;
-use mtr_workloads::structured::{grid, mycielski};
 use std::time::Duration;
-
-fn instances() -> Vec<(&'static str, Graph)> {
-    vec![
-        ("grid4x4", grid(4, 4)),
-        ("myciel4", mycielski(4)),
-        ("gnp20_020", gnp_connected(20, 0.20, 7)),
-    ]
-}
 
 /// The baseline workload of `BENCH_baseline.json`'s
 /// `ranked_first_10_results` suite, repeated at every obs level.
@@ -44,7 +34,7 @@ fn bench_levels(c: &mut Criterion) {
         ("trace", mtr_obs::Level::Trace),
     ] {
         mtr_obs::set_level(level);
-        for (name, g) in instances() {
+        for (name, g) in baseline_instances() {
             let pre = Preprocessed::new(&g);
             group.bench_with_input(BenchmarkId::new(mode, name), &pre, |b, pre| {
                 b.iter(|| {

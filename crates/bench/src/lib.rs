@@ -21,10 +21,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use mtr_graph::Graph;
 use mtr_workloads::experiment::AlgorithmRun;
+use mtr_workloads::random::gnp_connected;
+use mtr_workloads::structured::{grid, mycielski};
 use mtr_workloads::DatasetScale;
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// The inputs of the `ranked_first_10_results` workload, by bench ID,
+/// shared by the `enumeration`, `obs_overhead` and `fault_overhead`
+/// benches so that their rows in `BENCH_baseline.json`, `BENCH_obs.json`
+/// and `BENCH_fault.json` compare directly.
+pub fn baseline_instances() -> Vec<(&'static str, Graph)> {
+    vec![
+        ("grid4x4", grid(4, 4)),
+        ("myciel4", mycielski(4)),
+        ("gnp20_020", gnp_connected(20, 0.20, 7)),
+    ]
+}
 
 /// Reads the experiment scale from `MTR_SCALE` (default: standard).
 pub fn scale_from_env() -> DatasetScale {
