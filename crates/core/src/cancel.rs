@@ -6,7 +6,8 @@
 //! engines check the flag at their demand boundaries (once per popped
 //! Lawler–Murty partition, never inside a re-optimization), so cancellation
 //! takes effect within one unit of work and the results already emitted
-//! remain a valid ranked prefix. A cancelled session reports
+//! remain a valid ranked prefix. PMC enumeration checks it too, before each
+//! prefix and every 256 candidate tests. A cancelled session reports
 //! [`StopReason::Cancelled`](crate::session::StopReason::Cancelled).
 
 use std::sync::atomic::{AtomicBool, Ordering};

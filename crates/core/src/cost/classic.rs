@@ -2,7 +2,7 @@
 
 use super::{induced_edge_count, AtomCombine, BagCost, ChildSolution, CostValue};
 use mtr_graph::{Graph, Hypergraph, Vertex, VertexSet};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Width: the cardinality of the largest bag minus one.
 #[derive(Clone, Copy, Debug, Default)]
@@ -36,18 +36,6 @@ impl BagCost for Width {
         // Width is the maximum of a ⊆-monotone bag price and ignores vertex
         // identities, so it max-combines exactly across atoms.
         Some(AtomCombine::Max)
-    }
-
-    fn include_lower_bound(&self, _g: &Graph, include: &[VertexSet]) -> Option<CostValue> {
-        // Each include separator is a clique of every member H, so it lies
-        // inside a bag. Bags of minimal triangulations are potential maximal
-        // cliques of G, and a minimal separator never is one (it has full
-        // components), so the containment is strict: width(H) ≥ |S|.
-        include
-            .iter()
-            .map(|s| s.len())
-            .max()
-            .map(CostValue::from_usize)
     }
 
     fn label_invariant(&self) -> bool {
@@ -98,104 +86,9 @@ impl BagCost for FillIn {
         Some(AtomCombine::Additive)
     }
 
-    fn include_lower_bound(&self, g: &Graph, include: &[VertexSet]) -> Option<CostValue> {
-        if include.is_empty() {
-            return None;
-        }
-        // Saturating each include separator forces its missing edges into
-        // every member of the partition (each counted once). On top of the
-        // *include-saturated* graph G′ = G + forced, every member is still a
-        // chordal supergraph of G′, so each chordless cycle of G′ on ℓ ≥ 4
-        // vertices needs at least ℓ − 3 further chords — all of them
-        // non-edges of G′ (hence fill beyond `forced`), all of them inside
-        // the cycle's own vertex set. A vertex-disjoint packing of such
-        // cycles therefore adds its deficiencies admissibly.
-        let mut saturated = g.clone();
-        let mut forced = 0usize;
-        for s in include {
-            forced += saturated.saturate(s);
-        }
-        Some(CostValue::from_usize(
-            forced + chordless_cycle_packing(&saturated),
-        ))
-    }
-
     fn label_invariant(&self) -> bool {
         true
     }
-}
-
-/// Greedy vertex-disjoint chordless-cycle packing: repeatedly finds a
-/// chordless cycle (length ≥ 4) among the still-unused vertices, charges
-/// its triangulation deficiency `ℓ − 3`, and retires its vertices. Each
-/// cycle is located by picking a vertex `v` with two non-adjacent alive
-/// neighbors `x, y` and closing a shortest `x`–`y` path that avoids the
-/// rest of `N[v]` — shortest paths are induced, so the closed cycle has no
-/// chord.
-fn chordless_cycle_packing(g: &Graph) -> usize {
-    let mut alive = g.vertex_set();
-    let mut total = 0usize;
-    'outer: loop {
-        for v in alive.iter() {
-            let nbrs: Vec<Vertex> = g.neighbors(v).intersection(&alive).iter().collect();
-            for (i, &x) in nbrs.iter().enumerate() {
-                for &y in &nbrs[i + 1..] {
-                    if g.has_edge(x, y) {
-                        continue;
-                    }
-                    let mut allowed = alive.clone();
-                    allowed.difference_with(g.neighbors(v));
-                    allowed.remove(v);
-                    allowed.insert(x);
-                    allowed.insert(y);
-                    if let Some(path) = shortest_path_within(g, &allowed, x, y) {
-                        // Cycle = path plus v; x, y non-adjacent forces an
-                        // internal path vertex, so the length is ≥ 4.
-                        total += (path.len() + 1) - 3;
-                        for &u in &path {
-                            alive.remove(u);
-                        }
-                        alive.remove(v);
-                        continue 'outer;
-                    }
-                }
-            }
-        }
-        break;
-    }
-    total
-}
-
-/// BFS shortest path from `x` to `y` inside `g[allowed]`, as the vertex
-/// sequence `x..=y`; `None` when disconnected there.
-fn shortest_path_within(
-    g: &Graph,
-    allowed: &VertexSet,
-    x: Vertex,
-    y: Vertex,
-) -> Option<Vec<Vertex>> {
-    let mut prev = vec![u32::MAX; allowed.universe() as usize];
-    prev[x as usize] = x;
-    let mut queue = VecDeque::from([x]);
-    while let Some(u) = queue.pop_front() {
-        if u == y {
-            let mut path = vec![y];
-            let mut cur = y;
-            while cur != x {
-                cur = prev[cur as usize];
-                path.push(cur);
-            }
-            path.reverse();
-            return Some(path);
-        }
-        for w in g.neighbors(u).intersection(allowed).iter() {
-            if prev[w as usize] == u32::MAX {
-                prev[w as usize] = u;
-                queue.push_back(w);
-            }
-        }
-    }
-    None
 }
 
 /// Weighted width (Furuse–Yamazaki): each bag is priced by the sum of its
@@ -654,36 +547,5 @@ mod tests {
             (1.0, Box::new(WeightedWidth::new(vec![1.0]))),
         ]);
         assert!(!tainted.label_invariant());
-    }
-
-    #[test]
-    fn saturated_fill_bound_packs_chordless_cycles() {
-        // C5 with a singleton include: no forced edges, but the cycle
-        // itself needs 5 − 3 = 2 chords — exactly C5's minimum fill.
-        let c5 = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
-        let include = vec![VertexSet::singleton(5, 0)];
-        assert_eq!(
-            FillIn.include_lower_bound(&c5, &include),
-            Some(CostValue::from_usize(2))
-        );
-        // C6 with include {0,3}: one forced chord splits the hexagon into
-        // two 4-cycles sharing {0,3}; the vertex-disjoint packing keeps
-        // one of them, so the bound is 1 + 1 = 2 (true minimum is 3 — the
-        // bound must never exceed it).
-        let c6 = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let include = vec![VertexSet::from_slice(6, &[0, 3])];
-        assert_eq!(
-            FillIn.include_lower_bound(&c6, &include),
-            Some(CostValue::from_usize(2))
-        );
-        // Chordal after saturation: the packing finds nothing beyond the
-        // forced edges.
-        let p4 = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let include = vec![VertexSet::from_slice(4, &[0, 2])];
-        assert_eq!(
-            FillIn.include_lower_bound(&p4, &include),
-            Some(CostValue::from_usize(1))
-        );
-        assert_eq!(FillIn.include_lower_bound(&p4, &[]), None);
     }
 }

@@ -183,15 +183,11 @@ pub trait BagCost {
         None
     }
 
-    /// An *admissible* lower bound on the cost of every triangulation of `g`
-    /// that saturates all separators in `include` — the committed prefix of a
-    /// Lawler–Murty partition. Used by incumbent-bounded pruning to defer
-    /// partitions that cannot beat the incumbent; an inadmissible bound here
-    /// would break the ranked order, so implementations must only count cost
-    /// that is *forced* by the include set.
-    ///
-    /// The default `None` means "no prefix bound"; pruning then falls back on
-    /// the (always admissible) cost of the parent partition.
+    /// Inert: no engine calls it, and no shipped cost overrides it. It
+    /// once lower-bounded a Lawler–Murty partition for incumbent-bounded
+    /// pruning, which is gone; the method stays so that existing
+    /// implementations (the perfbench harness's counting wrapper among
+    /// them) keep compiling. The default returns `None`.
     fn include_lower_bound(&self, _g: &Graph, _include: &[VertexSet]) -> Option<CostValue> {
         None
     }

@@ -78,8 +78,7 @@ pub use ranked::{
     RankedTriangulation,
 };
 pub use session::{
-    drive_engine, heuristic_incumbent, CachePolicy, DecompositionRun, Enumerate, EnumerationError,
-    EnumerationRun, EnumerationStats, PruningPolicy, SessionConfig, SessionEngine, SessionReport,
-    StopReason,
+    drive_engine, CachePolicy, DecompositionRun, Enumerate, EnumerationError, EnumerationRun,
+    EnumerationStats, SessionConfig, SessionEngine, SessionReport, StopReason,
 };
 pub use symmetry::{OrbitContext, SymmetryPolicy};

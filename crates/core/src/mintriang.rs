@@ -46,11 +46,12 @@
 //! into a [`Preprocessed`] value and shared by every `MinTriang` invocation
 //! (exactly the "initialization step" the paper's experiments report).
 
+use crate::cancel::CancelFlag;
 use crate::cost::{BagCost, ChildSolution, Constraints, CostValue};
 use crate::pool;
 use mtr_chordal::cliques::maximal_cliques_chordal;
 use mtr_graph::{Components, Graph, VertexSet};
-use mtr_pmc::enumerate::{potential_maximal_cliques_until, PmcDeadlineExceeded, PmcEnumeration};
+use mtr_pmc::enumerate::{potential_maximal_cliques_until, PmcEnumeration, PmcStopped};
 use mtr_separators::blocks::{full_blocks, Block};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -148,7 +149,7 @@ impl Preprocessed {
     /// Full (unbounded) preprocessing of `g`: all minimal separators and all
     /// potential maximal cliques. Polynomial under the poly-MS assumption.
     pub fn new(g: &Graph) -> Self {
-        let e = potential_maximal_cliques_counted(g, None, None).expect("no deadline was set");
+        let e = potential_maximal_cliques_counted(g, None, None, None).expect("nothing stops it");
         Self::from_parts_threaded(g, e.minimal_separators, e.pmcs, None, 1)
     }
 
@@ -156,8 +157,8 @@ impl Preprocessed {
     /// `≤ width_bound` and PMCs of size `≤ width_bound + 1` are considered,
     /// which bounds the work without the poly-MS assumption (Section 5.3).
     pub fn new_bounded(g: &Graph, width_bound: usize) -> Self {
-        let e = potential_maximal_cliques_counted(g, Some(width_bound + 1), None)
-            .expect("no deadline was set");
+        let e = potential_maximal_cliques_counted(g, Some(width_bound + 1), None, None)
+            .expect("nothing stops it");
         Self::from_parts_threaded(g, e.minimal_separators, e.pmcs, Some(width_bound), 1)
     }
 
@@ -353,8 +354,11 @@ impl Preprocessed {
     }
 }
 
-/// [`potential_maximal_cliques_until`] with its work added to the obs
-/// registry: the enumeration's [`PmcEnumeration::candidates_tested`] and
+/// [`potential_maximal_cliques_until`] stopped by a session's two stop
+/// signals, with its work added to the obs registry. It returns
+/// [`PmcStopped`] once the wall clock reaches `deadline` or `cancel` is
+/// raised, whichever its checkpoints see first. The enumeration's
+/// [`PmcEnumeration::candidates_tested`] and
 /// [`PmcEnumeration::candidates_accepted`] go to the `pmc.candidates_tested`
 /// and `pmc.candidates_accepted` counters, once per completed enumeration.
 /// Every preprocessing path of the engines enumerates through it.
@@ -362,7 +366,8 @@ pub fn potential_maximal_cliques_counted(
     g: &Graph,
     max_size: Option<usize>,
     deadline: Option<Instant>,
-) -> Result<PmcEnumeration, PmcDeadlineExceeded> {
+    cancel: Option<&CancelFlag>,
+) -> Result<PmcEnumeration, PmcStopped> {
     static METRICS: OnceLock<[mtr_obs::Counter; 2]> = OnceLock::new();
     let [tested, accepted] = METRICS.get_or_init(|| {
         [
@@ -370,7 +375,11 @@ pub fn potential_maximal_cliques_counted(
             mtr_obs::counter("pmc.candidates_accepted"),
         ]
     });
-    let e = potential_maximal_cliques_until(g, max_size, deadline)?;
+    let stop = || {
+        cancel.is_some_and(CancelFlag::is_cancelled)
+            || deadline.is_some_and(|at| Instant::now() >= at)
+    };
+    let e = potential_maximal_cliques_until(g, max_size, stop)?;
     tested.add(e.candidates_tested);
     accepted.add(e.candidates_accepted);
     Ok(e)

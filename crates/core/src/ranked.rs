@@ -19,12 +19,12 @@
 //! so the stream (ties included) and every work counter are the same at any
 //! thread count; only the delay changes.
 //!
-//! A queued partition keeps the DP table of its solve rather than its best
-//! member: the member is rebuilt from the table when the partition pops,
-//! and the partition's children are solved from that table, so a child
-//! decides again only the blocks its new constraints touch (see
-//! [`crate::mintriang`]). A deferred partition has no table and is solved
-//! from scratch.
+//! Every child is solved as soon as it is generated, as in Figure 4, and
+//! queued at the exact cost of its best member. A queued partition keeps
+//! the DP table of its solve rather than that member: the member is rebuilt
+//! from the table when the partition pops, and the partition's children are
+//! solved from that table, so a child decides again only the blocks its new
+//! constraints touch (see [`crate::mintriang`]).
 //!
 //! The enumerator is exposed as a lazy [`Iterator`], so callers get any-time
 //! top-k semantics: stop pulling and no further work is done. With a
@@ -74,23 +74,13 @@ impl RankedTriangulation {
 }
 
 /// The Lawler–Murty priority queue: the cheapest entry pops first, and
-/// entries of equal cost pop in the order they were pushed.
-///
-/// That tie rule keeps a ranked stream reproducible. Pruning queues
-/// placeholders keyed by a lower bound; when one reaches the front it is
-/// solved and put back with [`RankedQueue::reinsert`] under its *original*
-/// sequence number, so it ranks exactly where an eager push would have
-/// ranked it.
+/// entries of equal cost pop in the order they were pushed. That tie rule
+/// keeps a ranked stream reproducible.
 #[derive(Debug)]
 pub struct RankedQueue<P> {
     heap: BinaryHeap<Queued<P>>,
     sequence: u64,
 }
-
-/// The generation position of a popped entry: [`RankedQueue::reinsert`]
-/// restores the entry's tie position from it.
-#[derive(Clone, Copy, Debug)]
-pub struct Ticket(u64);
 
 #[derive(Debug)]
 struct Queued<P> {
@@ -143,23 +133,9 @@ impl<P> RankedQueue<P> {
     }
 
     /// Removes the cheapest entry (the oldest among equal costs), with the
-    /// cost it was keyed by and its [`Ticket`].
-    pub fn pop(&mut self) -> Option<(CostValue, Ticket, P)> {
-        self.heap
-            .pop()
-            .map(|q| (q.cost, Ticket(q.sequence), q.payload))
-    }
-
-    /// Puts a popped entry back, now keyed by `cost`, in its original tie
-    /// position. When `cost` is at least the key it was popped at, the entry
-    /// ranks exactly where it would have ranked had it been pushed at `cost`
-    /// in the first place.
-    pub fn reinsert(&mut self, ticket: Ticket, cost: CostValue, payload: P) {
-        self.heap.push(Queued {
-            cost,
-            sequence: ticket.0,
-            payload,
-        });
+    /// cost it was keyed by.
+    pub fn pop(&mut self) -> Option<(CostValue, P)> {
+        self.heap.pop().map(|q| (q.cost, q.payload))
     }
 
     /// Number of queued entries.
@@ -173,24 +149,12 @@ impl<P> RankedQueue<P> {
     }
 }
 
-/// How a queued partition is materialized.
-#[derive(Debug)]
-enum NodeState {
-    /// The partition has been re-optimized: the DP table its best member is
-    /// rebuilt from when the node pops, and its children are solved from.
-    /// The entry's key is the exact cost of that member.
-    Solved(DpTable),
-    /// Incumbent-bounded pruning deferred the re-optimization; the entry's
-    /// key is an admissible lower bound on the partition's best cost. The
-    /// node is solved only if it ever reaches the front of the queue.
-    Deferred,
-}
-
-/// A queued partition: how it is materialized plus the constraints
-/// `(I, X)` that carve it out.
+/// A queued partition, keyed by the exact cost of its best member: the DP
+/// table that member is rebuilt from when the node pops (and its children
+/// are solved from), plus the constraints `(I, X)` that carve it out.
 #[derive(Debug)]
 struct Node {
-    state: NodeState,
+    table: DpTable,
     constraints: Constraints,
 }
 
@@ -244,18 +208,6 @@ pub struct RankedState {
     /// DP work summed over every solve so far.
     work: DpWork,
     started: bool,
-    /// Incumbent-bounded pruning: when on, children whose lower bound
-    /// strictly exceeds `incumbent` are enqueued [`NodeState::Deferred`]
-    /// instead of being re-optimized eagerly. The emitted sequence is
-    /// identical either way; see the module docs of `session` for why.
-    prune: bool,
-    /// Cost of the best known triangulation: the heuristic seed before the
-    /// first emission, then the cost of the latest emitted result.
-    incumbent: Option<CostValue>,
-    /// Deferred entries currently in the queue (re-optimizations avoided so
-    /// far; any of them still in the queue when the caller stops pulling
-    /// was pruned for good).
-    nodes_deferred: usize,
     /// Cooperative cancellation: when raised, the state bails out with
     /// `None` at its demand boundary (before popping the next partition),
     /// leaving the emitted sequence a valid ranked prefix.
@@ -273,15 +225,6 @@ impl RankedState {
     /// Creates a fresh (not yet started) enumeration state.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Turns on incumbent-bounded pruning, optionally seeding the incumbent
-    /// with the cost of a heuristic triangulation (an upper bound on the
-    /// cheapest result). Must be called before the first [`RankedState::next`].
-    pub fn enable_pruning(&mut self, incumbent: Option<CostValue>) {
-        debug_assert!(!self.started, "pruning must be configured up front");
-        self.prune = true;
-        self.incumbent = incumbent;
     }
 
     /// Binds a cooperative cancellation flag: once raised (from any thread),
@@ -303,18 +246,6 @@ impl RankedState {
     /// representative so far (modulo-symmetry mode).
     pub fn orbits_merged(&self) -> usize {
         self.modulo.as_ref().map_or(0, |dedup| dedup.merged)
-    }
-
-    /// Number of partitions whose re-optimization is currently deferred by
-    /// pruning. Once the caller stops pulling, these are exactly the
-    /// `MinTriang` calls that were never paid for.
-    pub fn nodes_pruned(&self) -> usize {
-        self.nodes_deferred
-    }
-
-    /// The current incumbent cost, when pruning is on and a bound is known.
-    pub fn incumbent(&self) -> Option<CostValue> {
-        self.incumbent
     }
 
     /// Number of results skipped because an identical triangulation was
@@ -370,7 +301,7 @@ impl RankedState {
         pre: &Preprocessed,
         cost: &K,
     ) -> Option<RankedTriangulation> {
-        self.advance(pre, cost, |parent, batch| {
+        self.advance(pre, |parent, batch| {
             Ok(batch
                 .into_iter()
                 .map(|c| solve_child(pre, cost, parent.as_deref(), c))
@@ -380,9 +311,8 @@ impl RankedState {
 
     /// [`RankedState::next`] with an optional worker pool. With a pool, the
     /// children of each expansion are solved as one
-    /// [`WorkerPool::run_batch`] (one task per child), and a deferred
-    /// partition that reaches the front is solved as a one-task batch. The
-    /// stream and every work counter are those of the inline run. A task
+    /// [`WorkerPool::run_batch`] (one task per child). The stream and every
+    /// work counter are those of the inline run. A task
     /// that panics (or an injected `pool.task` fault) stops the state: this
     /// and every later call return `None`, and [`RankedState::failure`]
     /// reports the message.
@@ -395,7 +325,7 @@ impl RankedState {
         let Some(pool) = pool else {
             return self.next(pre, cost);
         };
-        self.advance(pre, cost, |parent, batch| {
+        self.advance(pre, |parent, batch| {
             let tasks: Vec<_> = batch
                 .into_iter()
                 .map(|c| {
@@ -410,19 +340,13 @@ impl RankedState {
     /// The Lawler–Murty loop: pop the cheapest partition, emit its best
     /// member, and split the rest of the partition into children, whose
     /// re-optimizations `solve` runs as one batch from the popped table.
-    fn advance<K, S>(
-        &mut self,
-        pre: &Preprocessed,
-        cost: &K,
-        mut solve: S,
-    ) -> Option<RankedTriangulation>
+    fn advance<S>(&mut self, pre: &Preprocessed, mut solve: S) -> Option<RankedTriangulation>
     where
-        K: BagCost + ?Sized,
         S: FnMut(Option<Arc<DpTable>>, Vec<Constraints>) -> Result<Vec<Solved>, TaskPanic>,
     {
         if !self.started {
             self.started = true;
-            self.enqueue(None, vec![(Constraints::none(), None)], &mut solve);
+            self.enqueue(None, vec![Constraints::none()], &mut solve);
         }
         loop {
             // The demand boundary: between partition pops, never inside a
@@ -431,23 +355,9 @@ impl RankedState {
             if self.failed.is_some() || self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
                 return None;
             }
-            let (key, ticket, node) = self.queue.pop()?;
-            let table = match node.state {
-                NodeState::Solved(table) => table,
-                NodeState::Deferred => {
-                    // A deferred partition (keyed by an admissible lower
-                    // bound) reached the front of the queue: solve it now
-                    // and reinsert it at its exact cost with its *original*
-                    // sequence number. That reproduces the eager order
-                    // exactly, ties included, because the key never exceeds
-                    // the exact cost.
-                    self.nodes_deferred -= 1;
-                    self.resolve(ticket, key, node.constraints, &mut solve);
-                    continue;
-                }
-            };
-            // The best member, rebuilt from the table; a solved entry is
-            // keyed by its exact cost.
+            let (key, Node { table, constraints }) = self.queue.pop()?;
+            // The best member, rebuilt from the table; the entry is keyed by
+            // its exact cost.
             let (graph, bags) = table.rebuild(pre);
             let best = Triangulation {
                 graph,
@@ -468,7 +378,7 @@ impl RankedState {
             // chordal, so they come from its maximal cliques, which the
             // rebuild has just listed.
             let seps_of_h = minimal_separators_from_cliques(best.bags.clone());
-            let children = self.expand(pre, cost, &seps_of_h, &node.constraints, key);
+            let children = self.expand(&seps_of_h, &constraints);
             self.enqueue(Some(Arc::new(table)), children, &mut solve);
             if self.failed.is_some() {
                 // The expansion batch died: `best` was computed, but the
@@ -480,13 +390,6 @@ impl RankedState {
                 // tests can assert on it, and skipped to preserve soundness.
                 self.duplicates_skipped += 1;
                 continue;
-            }
-            // Emitted results track the frontier: a child can only be needed
-            // after everything at most as expensive as the incumbent is out.
-            // A suppressed orbit duplicate still tightens the incumbent —
-            // its cost is the cost of a real (already-emitted) result.
-            if self.prune {
-                self.incumbent = Some(best.cost);
             }
             if !orbit_new {
                 continue;
@@ -500,57 +403,16 @@ impl RankedState {
         }
     }
 
-    /// Re-optimizes a deferred partition that reached the front of the
-    /// queue and, when it is non-empty, reinserts it at its exact cost in
-    /// its original tie position.
-    fn resolve<S>(
-        &mut self,
-        ticket: Ticket,
-        key: CostValue,
-        constraints: Constraints,
-        solve: &mut S,
-    ) where
-        S: FnMut(Option<Arc<DpTable>>, Vec<Constraints>) -> Result<Vec<Solved>, TaskPanic>,
-    {
-        self.nodes_explored += 1;
-        let solved = match solve(None, vec![constraints]) {
-            Ok(solved) => solved,
-            Err(panic) => {
-                self.failed = Some(panic.message);
-                return;
-            }
-        };
-        for child in solved {
-            self.work += child.work;
-            let Some((exact, table)) = child.best else {
-                continue;
-            };
-            debug_assert!(exact >= key, "a queue key must not exceed the exact cost");
-            let state = NodeState::Solved(table);
-            let constraints = child.constraints;
-            self.queue
-                .reinsert(ticket, exact, Node { state, constraints });
-        }
-    }
-
-    /// The children of a popped partition, each with its optional lower
-    /// bound, in generation order: the staircase over the separators of its
-    /// best member that its constraints do not already include.
-    fn expand<K: BagCost + ?Sized>(
-        &mut self,
-        pre: &Preprocessed,
-        cost: &K,
-        seps_of_h: &[VertexSet],
-        constraints: &Constraints,
-        parent_cost: CostValue,
-    ) -> Vec<(Constraints, Option<CostValue>)> {
+    /// The children of a popped partition, in generation order: the
+    /// staircase over the separators of its best member that its
+    /// constraints do not already include.
+    fn expand(&mut self, seps_of_h: &[VertexSet], constraints: &Constraints) -> Vec<Constraints> {
         // Minimal separators of the emitted triangulation H; those not
         // already forced define the sub-partitions.
         let new_seps: Vec<&VertexSet> = seps_of_h
             .iter()
             .filter(|s| !constraints.include.contains(s))
             .collect();
-        let bound_children = self.prune && self.incumbent.is_some();
         // Modulo-symmetry: branch separators in the same orbit under the
         // stabilizer of this node's constraints spawn one child — the
         // dropped cells' triangulations are σ-images of solutions in
@@ -575,73 +437,35 @@ impl RankedState {
             include.extend(order[..pos].iter().map(|&(k, _)| new_seps[k].clone()));
             let mut exclude = constraints.exclude.clone();
             exclude.push(new_seps[idx].clone());
-            // Children are sub-partitions of the parent, so the parent's
-            // exact cost lower-bounds them for *any* bag cost; the cost may
-            // sharpen that with a bound forced by the committed prefix.
-            let lb =
-                bound_children.then(|| match cost.include_lower_bound(pre.graph(), &include) {
-                    Some(prefix) => parent_cost.max(prefix),
-                    None => parent_cost,
-                });
-            children.push((Constraints::new(include, exclude), lb));
+            children.push(Constraints::new(include, exclude));
         }
         children
     }
 
-    /// Queues child partitions, each with its optional lower bound, in
-    /// generation order. A child whose bound strictly exceeds the incumbent
-    /// is deferred, and the rest are solved as one batch from the `parent`
-    /// table; empty partitions are dropped.
+    /// Solves child partitions as one batch from the `parent` table and
+    /// queues them in generation order; empty partitions are dropped.
     fn enqueue<S>(
         &mut self,
         parent: Option<Arc<DpTable>>,
-        children: Vec<(Constraints, Option<CostValue>)>,
+        children: Vec<Constraints>,
         solve: &mut S,
     ) where
         S: FnMut(Option<Arc<DpTable>>, Vec<Constraints>) -> Result<Vec<Solved>, TaskPanic>,
     {
-        // Per child, in generation order: its queue key and node, or `None`
-        // while it waits for the batch.
-        let mut slots: Vec<Option<(CostValue, Node)>> = Vec::with_capacity(children.len());
-        // The slot of each eager child.
-        let mut eager_slots = Vec::new();
-        let mut batch = Vec::new();
-        for (constraints, lower_bound) in children {
-            // Strictly-greater only: a partition whose bound ties the
-            // incumbent may hold the next result, so it stays eager.
-            if let (Some(lb), Some(incumbent)) = (lower_bound, self.incumbent) {
-                if lb > incumbent {
-                    let state = NodeState::Deferred;
-                    slots.push(Some((lb, Node { state, constraints })));
-                    continue;
-                }
-            }
-            eager_slots.push(slots.len());
-            slots.push(None);
-            batch.push(constraints);
-        }
-        self.nodes_explored += batch.len();
-        let solved = match solve(parent, batch) {
+        self.nodes_explored += children.len();
+        let solved = match solve(parent, children) {
             Ok(solved) => solved,
             Err(panic) => {
                 self.failed = Some(panic.message);
                 return;
             }
         };
-        for (slot, child) in eager_slots.into_iter().zip(solved) {
+        for child in solved {
             self.work += child.work;
-            let Some((exact, table)) = child.best else {
-                continue;
-            };
-            let state = NodeState::Solved(table);
-            let constraints = child.constraints;
-            slots[slot] = Some((exact, Node { state, constraints }));
-        }
-        for (key, node) in slots.into_iter().flatten() {
-            if matches!(node.state, NodeState::Deferred) {
-                self.nodes_deferred += 1;
+            if let Some((exact, table)) = child.best {
+                let constraints = child.constraints;
+                self.queue.push(exact, Node { table, constraints });
             }
-            self.queue.push(key, node);
         }
     }
 }
@@ -666,13 +490,6 @@ impl<'a, K: BagCost + ?Sized> RankedEnumerator<'a, K> {
         }
     }
 
-    /// Turns on incumbent-bounded pruning with an optional heuristic seed;
-    /// see [`RankedState::enable_pruning`].
-    pub fn with_pruning(mut self, incumbent: Option<CostValue>) -> Self {
-        self.state.enable_pruning(incumbent);
-        self
-    }
-
     /// Binds a cooperative cancellation flag; see
     /// [`RankedState::bind_cancel`].
     pub fn with_cancel(mut self, flag: CancelFlag) -> Self {
@@ -691,17 +508,6 @@ impl<'a, K: BagCost + ?Sized> RankedEnumerator<'a, K> {
     /// see [`RankedState::orbits_merged`].
     pub fn orbits_merged(&self) -> usize {
         self.state.orbits_merged()
-    }
-
-    /// Number of re-optimizations currently avoided by pruning; see
-    /// [`RankedState::nodes_pruned`].
-    pub fn nodes_pruned(&self) -> usize {
-        self.state.nodes_pruned()
-    }
-
-    /// The current incumbent cost, if pruning holds one.
-    pub fn incumbent(&self) -> Option<CostValue> {
-        self.state.incumbent()
     }
 
     /// Number of duplicate results skipped; see
@@ -878,48 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn pruned_enumeration_matches_unpruned_exactly() {
-        let c6 = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let pre = Preprocessed::new(&c6);
-        for cost in [&Width as &dyn BagCost, &FillIn, &WidthThenFill] {
-            let plain: Vec<_> = RankedEnumerator::new(&pre, cost).collect();
-            // Any incumbent seed — even a nonsensically low one — only defers
-            // work; the emitted sequence is bit-identical.
-            for seed in [None, Some(CostValue::ZERO), Some(CostValue::from_usize(2))] {
-                let pruned: Vec<_> = RankedEnumerator::new(&pre, cost)
-                    .with_pruning(seed)
-                    .collect();
-                assert_eq!(pruned.len(), plain.len(), "{}", cost.name());
-                for (a, b) in plain.iter().zip(&pruned) {
-                    assert_eq!(a.cost, b.cost);
-                    assert_eq!(a.triangulation, b.triangulation);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pruning_defers_re_optimizations_for_top_k() {
-        let c6 = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let pre = Preprocessed::new(&c6);
-        let mut pruned = RankedEnumerator::new(&pre, &FillIn).with_pruning(Some(CostValue::ZERO));
-        let first = pruned.next().unwrap();
-        let mut plain = RankedEnumerator::new(&pre, &FillIn);
-        assert_eq!(plain.next().unwrap().cost, first.cost);
-        assert!(
-            pruned.nodes_pruned() > 0,
-            "children above the incumbent must be deferred"
-        );
-        assert!(
-            pruned.nodes_explored() < plain.nodes_explored(),
-            "pruning must avoid eager re-optimizations ({} vs {})",
-            pruned.nodes_explored(),
-            plain.nodes_explored()
-        );
-        assert_eq!(pruned.incumbent(), Some(first.cost));
-    }
-
-    #[test]
     fn modulo_symmetry_on_c6_quotients_the_stream() {
         // C6's 14 minimal triangulations fall into 3 orbits under the
         // dihedral group of order 12 (triangulations of the hexagon up to
@@ -942,19 +706,14 @@ mod tests {
     }
 
     #[test]
-    fn ranked_queue_ties_pop_in_push_order_and_reinsert_in_place() {
+    fn ranked_queue_ties_pop_in_push_order() {
         let mut queue = RankedQueue::default();
         queue.push(CostValue::from_usize(1), "a");
         queue.push(CostValue::from_usize(1), "b");
-        queue.push(CostValue::ZERO, "placeholder");
+        queue.push(CostValue::ZERO, "cheapest");
         queue.push(CostValue::from_usize(1), "c");
-        // The placeholder pops first on its lower bound; reinserted at its
-        // exact cost it ranks by its push position, between "b" and "c".
-        let (key, ticket, payload) = queue.pop().unwrap();
-        assert_eq!((key, payload), (CostValue::ZERO, "placeholder"));
-        queue.reinsert(ticket, CostValue::from_usize(1), "solved");
-        let order: Vec<_> = std::iter::from_fn(|| queue.pop().map(|(_, _, p)| p)).collect();
-        assert_eq!(order, ["a", "b", "solved", "c"]);
+        let order: Vec<_> = std::iter::from_fn(|| queue.pop().map(|(_, p)| p)).collect();
+        assert_eq!(order, ["cheapest", "a", "b", "c"]);
         assert!(queue.is_empty());
     }
 
@@ -972,32 +731,6 @@ mod tests {
                 .take(take)
                 .collect()
         })
-    }
-
-    #[test]
-    fn pooled_pruning_matches_inline_exactly() {
-        let c6 = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let pre = Preprocessed::new(&c6);
-        let inline: Vec<_> = RankedEnumerator::new(&pre, &FillIn).collect();
-        for threads in [1, 4] {
-            for seed in [None, Some(CostValue::ZERO), Some(CostValue::from_usize(3))] {
-                let mut state = RankedState::new();
-                state.enable_pruning(seed);
-                let pooled = drain_pooled(&pre, &FillIn, threads, &mut state, usize::MAX);
-                assert_eq!(pooled.len(), inline.len(), "threads = {threads}");
-                for (a, b) in inline.iter().zip(&pooled) {
-                    assert_eq!(a.cost, b.cost);
-                    assert_eq!(a.triangulation, b.triangulation);
-                }
-                assert_eq!(state.duplicates_skipped(), 0);
-            }
-            // A tight seed defers work on a pooled top-3 prefix too.
-            let mut state = RankedState::new();
-            state.enable_pruning(Some(CostValue::ZERO));
-            let top3 = drain_pooled(&pre, &FillIn, threads, &mut state, 3);
-            assert!(state.nodes_pruned() > 0, "threads = {threads}");
-            assert_eq!(state.incumbent(), Some(top3[2].cost));
-        }
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //! enumerators by hand:
 //!
 //! * **budgets** — [`Enumerate::max_results`], [`Enumerate::deadline`] and
-//!   [`Enumerate::node_budget`] stop the enumeration early; the session
-//!   reports *why* it stopped through a typed [`StopReason`], and the
-//!   results are always a prefix of the unbudgeted ranked stream;
+//!   [`Enumerate::node_budget`] stop the enumeration early, and a raised
+//!   [`Enumerate::cancel_flag`] stops it too, preprocessing included; the
+//!   session reports *why* it stopped through a typed [`StopReason`], and
+//!   the results are always a prefix of the unbudgeted ranked stream;
 //! * **statistics** — every run returns [`EnumerationStats`]: preprocessing
 //!   time, per-result delays, priority-queue depth, explored Lawler–Murty
 //!   nodes, duplicates skipped;
@@ -38,16 +39,14 @@
 //! layer the session drives; new code should prefer [`Enumerate`].
 
 use crate::cancel::CancelFlag;
-use crate::cost::{named_cost, BagCost, CostValue, DynBagCost, Width};
+use crate::cost::{named_cost, BagCost, DynBagCost, Width};
 use crate::diverse::{DiversityFilter, SimilarityMeasure};
 use crate::mintriang::{potential_maximal_cliques_counted, Preprocessed};
 use crate::pool::{self, resolve_threads, WorkerPool};
 use crate::properdec::RankedDecomposition;
 use crate::ranked::{RankedState, RankedTriangulation};
 use crate::symmetry::{OrbitContext, SymmetryPolicy};
-use mtr_chordal::{
-    clique_trees_from_cliques, lb_triang_min_degree, maximal_cliques_chordal, mcs_m,
-};
+use mtr_chordal::clique_trees_from_cliques;
 use mtr_graph::io::ParseError;
 use mtr_graph::Graph;
 use std::ops::ControlFlow;
@@ -60,7 +59,6 @@ use std::time::{Duration, Instant};
 struct SessionMetrics {
     sessions: mtr_obs::Counter,
     results: mtr_obs::Counter,
-    nodes_pruned: mtr_obs::Counter,
     preprocess_ns: mtr_obs::Histogram,
     advance_ns: mtr_obs::Histogram,
     delay_ns: mtr_obs::Histogram,
@@ -71,7 +69,6 @@ fn session_metrics() -> &'static SessionMetrics {
     METRICS.get_or_init(|| SessionMetrics {
         sessions: mtr_obs::counter("core.session.sessions"),
         results: mtr_obs::counter("core.session.results"),
-        nodes_pruned: mtr_obs::counter("core.session.nodes_pruned"),
         preprocess_ns: mtr_obs::histogram("core.session.preprocess_ns"),
         advance_ns: mtr_obs::histogram("core.session.advance_ns"),
         delay_ns: mtr_obs::histogram("core.session.delay_ns"),
@@ -124,75 +121,6 @@ impl CachePolicy {
     pub fn is_enabled(&self) -> bool {
         !matches!(self, CachePolicy::Off)
     }
-}
-
-// ---------------------------------------------------------------------------
-// Pruning policy
-// ---------------------------------------------------------------------------
-
-/// Whether a session prunes Lawler–Murty partitions against an incumbent
-/// cost bound — see [`Enumerate::pruning`].
-///
-/// Pruning is *exact*: a partition whose admissible lower bound exceeds the
-/// incumbent is deferred, not discarded, and is re-optimized lazily if (and
-/// only if) the ranked order ever reaches it. The emitted result sequence —
-/// costs, triangulations, and tie order — is identical with pruning on or
-/// off; only the number of constrained `MinTriang` re-optimizations paid
-/// before each emission changes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PruningPolicy {
-    /// Prune against an incumbent: seeded from a cheap heuristic minimal
-    /// triangulation (MCS-M and min-degree `LB-Triang`, whichever is
-    /// cheaper under the session cost), then tightened to the cost of the
-    /// most recently emitted result. The default.
-    #[default]
-    Incumbent,
-    /// Never defer: every partition is re-optimized eagerly, exactly as in
-    /// previous releases (`mtr --no-prune`).
-    Off,
-}
-
-impl PruningPolicy {
-    /// `true` unless the policy is [`PruningPolicy::Off`].
-    pub fn is_enabled(&self) -> bool {
-        !matches!(self, PruningPolicy::Off)
-    }
-}
-
-/// The incumbent seed for [`PruningPolicy::Incumbent`]: the cheaper of two
-/// heuristic minimal triangulations (MCS-M and min-degree `LB-Triang`)
-/// under `cost`, skipping candidates a [`Enumerate::width_bound`] session
-/// could never emit. `None` when no candidate qualifies — pruning then
-/// starts from the first emitted result instead.
-///
-/// Public so alternative engines (the factorized per-atom enumerator of
-/// `mtr-reduce`) can seed their own incumbents — globally and per atom —
-/// with the same heuristic the direct session uses.
-pub fn heuristic_incumbent<K: BagCost + ?Sized>(
-    g: &Graph,
-    cost: &K,
-    width_bound: Option<usize>,
-) -> Option<CostValue> {
-    if g.n() == 0 {
-        return None;
-    }
-    let scope = g.vertex_set();
-    let candidates = [mcs_m(g).triangulation, lb_triang_min_degree(g)];
-    let mut best: Option<CostValue> = None;
-    for h in &candidates {
-        let Some(bags) = maximal_cliques_chordal(h) else {
-            continue;
-        };
-        let width = bags.iter().map(|b| b.len()).max().unwrap_or(1) - 1;
-        if width_bound.is_some_and(|b| width > b) {
-            continue;
-        }
-        let value = cost.cost_of_bags(g, &scope, &bags);
-        if value.is_finite() && best.is_none_or(|b| value < b) {
-            best = Some(value);
-        }
-    }
-    best
 }
 
 // ---------------------------------------------------------------------------
@@ -297,8 +225,22 @@ pub enum StopReason {
     /// The session's [`CancelFlag`] was raised (see
     /// [`Enumerate::cancel_flag`]) — typically by a service handler whose
     /// client disconnected. The results emitted before the flag was
-    /// observed are a valid ranked prefix.
+    /// observed are a valid ranked prefix (empty when the flag stopped
+    /// preprocessing — see [`EnumerationStats::preprocessing_complete`]).
     Cancelled,
+}
+
+impl StopReason {
+    /// The stop reason of a session whose preprocessing was stopped:
+    /// [`StopReason::Cancelled`] when its `cancel` flag is raised,
+    /// [`StopReason::DeadlineExceeded`] otherwise.
+    pub fn preprocessing_stopped(cancel: Option<&CancelFlag>) -> Self {
+        if cancel.is_some_and(CancelFlag::is_cancelled) {
+            StopReason::Cancelled
+        } else {
+            StopReason::DeadlineExceeded
+        }
+    }
 }
 
 impl std::fmt::Display for StopReason {
@@ -323,8 +265,9 @@ pub struct EnumerationStats {
     /// an existing [`Preprocessed`]).
     pub preprocessing: Duration,
     /// Whether preprocessing ran to completion. `false` only when a
-    /// [`Enumerate::deadline`] expired during the initialization itself, in
-    /// which case the run carries zero results.
+    /// [`Enumerate::deadline`] expired or the [`Enumerate::cancel_flag`] was
+    /// raised during the initialization itself, in which case the run
+    /// carries zero results.
     pub preprocessing_complete: bool,
     /// Total wall-clock time of the run, preprocessing included.
     pub total: Duration,
@@ -382,14 +325,10 @@ pub struct EnumerationStats {
     /// Approximate bytes resident in the atom cache when the session
     /// finished (the store is shared, so this is a store-wide figure).
     pub cache_bytes: usize,
-    /// Constrained re-optimizations the incumbent bound deferred and never
-    /// paid for — work a [`PruningPolicy::Off`] run would have done. Zero
-    /// when pruning is off or never fired.
+    /// Always `0`: no engine defers a re-optimization. Kept so that
+    /// readers of the `nodes_pruned` key of [`EnumerationStats::to_json`]
+    /// (the perfbench harness among them) find the key they read.
     pub nodes_pruned: usize,
-    /// The incumbent cost bound when the session stopped: the heuristic
-    /// seed, tightened to the most recently emitted cost. `None` when
-    /// pruning is off or no bound was ever established.
-    pub incumbent_cost: Option<f64>,
     /// Order of the *discovered* automorphism group of the input graph
     /// (a subgroup of the full group when the canonical search truncated).
     /// Only [`SymmetryPolicy::ModuloSymmetry`] with a label-invariant cost
@@ -441,7 +380,7 @@ impl EnumerationStats {
                 "\"preprocessing_secs\": {:.6}, \"preprocessing_complete\": {}, ",
                 "\"total_secs\": {:.6}, \"atoms\": {}, \"minimal_separators\": {}, ",
                 "\"pmcs\": {}, \"full_blocks\": {}, \"nodes_explored\": {}, ",
-                "\"nodes_pruned\": {}, \"incumbent_cost\": {}, ",
+                "\"nodes_pruned\": {}, ",
                 "\"max_queue_depth\": {}, \"final_queue_depth\": {}, ",
                 "\"duplicates_skipped\": {}, \"diversity_rejected\": {}, ",
                 "\"effective_threads\": {}, \"worker_tasks\": [{}], \"steals\": {}, ",
@@ -464,8 +403,6 @@ impl EnumerationStats {
             self.full_blocks,
             self.nodes_explored,
             self.nodes_pruned,
-            self.incumbent_cost
-                .map_or_else(|| "null".into(), |c| format!("{c}")),
             self.max_queue_depth,
             self.final_queue_depth,
             self.duplicates_skipped,
@@ -583,8 +520,6 @@ pub struct SessionConfig<'a, K: BagCost + Sync + ?Sized = Width> {
     pub node_budget: Option<usize>,
     /// Atom cache policy from [`Enumerate::cache`].
     pub cache: CachePolicy,
-    /// Incumbent pruning policy from [`Enumerate::pruning`].
-    pub pruning: PruningPolicy,
     /// Symmetry policy from [`Enumerate::symmetry`].
     pub symmetry: SymmetryPolicy,
     /// Cooperative cancellation flag from [`Enumerate::cancel_flag`].
@@ -628,7 +563,6 @@ impl<K: BagCost + Sync + ?Sized> std::fmt::Debug for Enumerate<'_, K> {
             .field("deadline", &c.deadline)
             .field("node_budget", &c.node_budget)
             .field("cache", &c.cache)
-            .field("pruning", &c.pruning)
             .field("symmetry", &c.symmetry)
             .finish_non_exhaustive()
     }
@@ -662,7 +596,6 @@ impl<'a> Enumerate<'a, Width> {
                 deadline: None,
                 node_budget: None,
                 cache: CachePolicy::Off,
-                pruning: PruningPolicy::default(),
                 symmetry: SymmetryPolicy::default(),
                 cancel: None,
             },
@@ -700,7 +633,6 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
                 deadline: c.deadline,
                 node_budget: c.node_budget,
                 cache: c.cache,
-                pruning: c.pruning,
                 symmetry: c.symmetry,
                 cancel: c.cancel,
             },
@@ -792,19 +724,6 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
         self
     }
 
-    /// Incumbent-bounded pruning policy (see [`PruningPolicy`]). The
-    /// default, [`PruningPolicy::Incumbent`], defers partitions that
-    /// provably cannot beat the incumbent cost; the emitted results are
-    /// identical either way, so [`PruningPolicy::Off`] exists for
-    /// measurement and debugging (`mtr --no-prune`).
-    ///
-    /// [`EnumerationStats::nodes_pruned`] and
-    /// [`EnumerationStats::incumbent_cost`] report what pruning did.
-    pub fn pruning(mut self, policy: PruningPolicy) -> Self {
-        self.config.pruning = policy;
-        self
-    }
-
     /// Symmetry policy (see [`SymmetryPolicy`]). The default,
     /// [`SymmetryPolicy::Full`], enumerates every minimal triangulation and
     /// runs no automorphism probe. [`SymmetryPolicy::ModuloSymmetry`]
@@ -823,7 +742,9 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
     /// thread) stops the session with [`StopReason::Cancelled`] at the next
     /// demand boundary — between Lawler–Murty partition expansions, never
     /// mid-re-optimization — so the results already emitted remain a valid
-    /// ranked prefix. This is how a long-lived service cancels a session
+    /// ranked prefix. On sessions started with [`Enumerate::on`] the flag
+    /// also stops the PMC enumeration, at the checkpoints where it checks
+    /// the deadline. This is how a long-lived service cancels a session
     /// whose client disconnected.
     pub fn cancel_flag(mut self, flag: CancelFlag) -> Self {
         self.config.cancel = Some(flag);
@@ -925,7 +846,6 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
             node_budget,
             // Inert on the direct engine: there are no atoms to cache.
             cache: _,
-            pruning,
             symmetry,
             cancel,
         } = self.config;
@@ -951,12 +871,14 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
             }
             Source::Graph(g) => {
                 // The PMC enumeration is inherently incremental (prefix by
-                // prefix) and stops at the session deadline; the
-                // candidate-structure build behind `from_parts_threaded`
-                // fans out over the pool workers.
+                // prefix) and stops at the session deadline or cancel flag;
+                // the candidate-structure build behind
+                // `from_parts_threaded` fans out over the pool workers.
                 let deadline_at = deadline.and_then(|d| started.checked_add(d));
                 let max_size = width_bound.map(|b| b + 1);
-                let Ok(e) = potential_maximal_cliques_counted(g, max_size, deadline_at) else {
+                let pmcs =
+                    potential_maximal_cliques_counted(g, max_size, deadline_at, cancel.as_ref());
+                let Ok(e) = pmcs else {
                     let elapsed = started.elapsed();
                     let stats = EnumerationStats {
                         cost: cost_name,
@@ -968,7 +890,7 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
                     };
                     return Ok(SessionReport {
                         stats,
-                        stop_reason: StopReason::DeadlineExceeded,
+                        stop_reason: StopReason::preprocessing_stopped(cancel.as_ref()),
                     });
                 };
                 owned_pre = Preprocessed::from_parts_threaded(
@@ -985,13 +907,6 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
         let cost_ref = cost.get();
         let filter = diversity
             .map(|(measure, threshold)| DiversityFilter::new(pre.graph(), measure, threshold));
-        // Seed the incumbent from a heuristic minimal triangulation before
-        // any partition is expanded — children of the very first expansion
-        // can already be deferred against it.
-        let incumbent = match pruning {
-            PruningPolicy::Incumbent => heuristic_incumbent(pre.graph(), cost_ref, width_bound),
-            PruningPolicy::Off => None,
-        };
         // Only modulo symmetry probes the automorphism group, once per
         // session, and only for label-invariant costs (an automorphism need
         // not preserve a label-dependent ranking). A trivial group probes
@@ -1015,9 +930,6 @@ impl<'a, K: BagCost + Sync + ?Sized> Enumerate<'a, K> {
             .preprocess_ns
             .record(saturating_ns(stats.preprocessing));
         let mut state = RankedState::new();
-        if pruning.is_enabled() {
-            state.enable_pruning(incumbent);
-        }
         if let Some(flag) = cancel.clone() {
             state.bind_cancel(flag);
         }
@@ -1078,15 +990,6 @@ pub trait SessionEngine {
     fn nodes_explored(&self) -> usize;
     /// Duplicate results skipped (`0` for engines that cannot emit them).
     fn duplicates_skipped(&self) -> usize;
-    /// Re-optimizations deferred by incumbent pruning and never paid for
-    /// (`0` for engines without pruning).
-    fn nodes_pruned(&self) -> usize {
-        0
-    }
-    /// The engine's current incumbent cost bound, if pruning is active.
-    fn incumbent_cost(&self) -> Option<CostValue> {
-        None
-    }
     /// Branches/results the engine merged into their orbit representative
     /// (`0` for engines without modulo-symmetry).
     fn orbits_merged(&self) -> usize {
@@ -1182,13 +1085,7 @@ where
     stats.final_queue_depth = engine.queue_depth();
     stats.nodes_explored = engine.nodes_explored();
     stats.duplicates_skipped = engine.duplicates_skipped();
-    stats.nodes_pruned = engine.nodes_pruned();
-    stats.incumbent_cost = engine
-        .incumbent_cost()
-        .filter(|c| c.is_finite())
-        .map(|c| c.value());
     stats.orbits_merged = engine.orbits_merged();
-    metrics.nodes_pruned.add(stats.nodes_pruned as u64);
     stats.total = started.elapsed();
     if emit_span.is_active() {
         emit_span.attr("results", stats.results.to_string());
@@ -1222,14 +1119,6 @@ impl<K: BagCost + Sync + ?Sized> SessionEngine for DirectEngine<'_, '_, K> {
 
     fn duplicates_skipped(&self) -> usize {
         self.state.duplicates_skipped()
-    }
-
-    fn nodes_pruned(&self) -> usize {
-        self.state.nodes_pruned()
-    }
-
-    fn incumbent_cost(&self) -> Option<CostValue> {
-        self.state.incumbent()
     }
 
     fn orbits_merged(&self) -> usize {
@@ -1536,90 +1425,6 @@ mod tests {
         for r in &run.results {
             assert!(is_minimal_triangulation(&g, &r.triangulation));
         }
-    }
-
-    #[test]
-    fn pruning_on_and_off_emit_identical_runs() {
-        let g = c6();
-        for threads in [1, 4] {
-            let pruned = Enumerate::on(&g)
-                .cost(&FillIn)
-                .threads(threads)
-                .run()
-                .unwrap();
-            let plain = Enumerate::on(&g)
-                .cost(&FillIn)
-                .threads(threads)
-                .pruning(PruningPolicy::Off)
-                .run()
-                .unwrap();
-            assert_eq!(pruned.results.len(), plain.results.len());
-            let pruned_costs: Vec<CostValue> = pruned.results.iter().map(|r| r.cost).collect();
-            let plain_costs: Vec<CostValue> = plain.results.iter().map(|r| r.cost).collect();
-            assert_eq!(pruned_costs, plain_costs);
-            // Pruning is the default; opting out zeroes its stats.
-            assert_eq!(plain.stats.nodes_pruned, 0);
-            assert_eq!(plain.stats.incumbent_cost, None);
-            // An exhausted pruned run paid every re-optimization eventually,
-            // and ends with the incumbent at the costliest emitted result.
-            assert_eq!(
-                pruned.stats.incumbent_cost,
-                Some(pruned.results.last().unwrap().cost.value())
-            );
-        }
-    }
-
-    #[test]
-    fn pruned_prefix_defers_work() {
-        // A 3x3 grid has non-uniform fill-in costs, so the heuristic seed
-        // and the emitted frontier both defer real work in a top-3 run.
-        let g = Graph::from_edges(
-            9,
-            &[
-                (0, 1),
-                (1, 2),
-                (3, 4),
-                (4, 5),
-                (6, 7),
-                (7, 8),
-                (0, 3),
-                (3, 6),
-                (1, 4),
-                (4, 7),
-                (2, 5),
-                (5, 8),
-            ],
-        );
-        let pruned = Enumerate::on(&g)
-            .cost(&FillIn)
-            .max_results(3)
-            .run()
-            .unwrap();
-        let plain = Enumerate::on(&g)
-            .cost(&FillIn)
-            .max_results(3)
-            .pruning(PruningPolicy::Off)
-            .run()
-            .unwrap();
-        let pruned_costs: Vec<CostValue> = pruned.results.iter().map(|r| r.cost).collect();
-        let plain_costs: Vec<CostValue> = plain.results.iter().map(|r| r.cost).collect();
-        assert_eq!(pruned_costs, plain_costs);
-        assert!(pruned.stats.nodes_pruned > 0);
-        assert!(pruned.stats.nodes_explored < plain.stats.nodes_explored);
-    }
-
-    #[test]
-    fn heuristic_incumbent_is_a_sound_upper_bound() {
-        let g = c6();
-        let best = Enumerate::on(&g)
-            .cost(&FillIn)
-            .max_results(1)
-            .run()
-            .unwrap();
-        let seed = heuristic_incumbent(&g, &FillIn, None).unwrap();
-        assert!(seed >= best.results[0].cost);
-        // A width bound below every heuristic candidate leaves no seed.
-        assert_eq!(heuristic_incumbent(&g, &FillIn, Some(0)), None);
     }
 
     #[test]

@@ -42,20 +42,19 @@ use crate::test::PmcTest;
 use mtr_graph::{Components, Graph, VertexSet};
 use mtr_separators::enumerate::minimal_separators;
 use std::collections::HashSet;
-use std::time::Instant;
 
-/// Error returned by [`potential_maximal_cliques_until`] when its deadline
-/// passes before the enumeration finishes.
+/// Error returned by [`potential_maximal_cliques_until`] when its stop
+/// check fires before the enumeration finishes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PmcDeadlineExceeded;
+pub struct PmcStopped;
 
-impl std::fmt::Display for PmcDeadlineExceeded {
+impl std::fmt::Display for PmcStopped {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("PMC enumeration exceeded its deadline")
+        f.write_str("PMC enumeration was stopped before it finished")
     }
 }
 
-impl std::error::Error for PmcDeadlineExceeded {}
+impl std::error::Error for PmcStopped {}
 
 /// Result of a PMC enumeration: the cliques plus the separator sets of every
 /// prefix, which the callers (notably the triangulation DP) reuse.
@@ -74,7 +73,7 @@ pub struct PmcEnumeration {
 /// Enumerates all potential maximal cliques of `g`, along with its minimal
 /// separators.
 pub fn potential_maximal_cliques(g: &Graph) -> PmcEnumeration {
-    potential_maximal_cliques_until(g, None, None).expect("no deadline was set")
+    potential_maximal_cliques_until(g, None, || false).expect("nothing stops it")
 }
 
 /// Enumerates the potential maximal cliques of `g` of size at most
@@ -86,22 +85,21 @@ pub fn potential_maximal_cliques(g: &Graph) -> PmcEnumeration {
 /// `max_size = b + 1` bounds the work independently of the poly-MS
 /// assumption.
 pub fn potential_maximal_cliques_bounded(g: &Graph, max_size: usize) -> PmcEnumeration {
-    potential_maximal_cliques_until(g, Some(max_size), None).expect("no deadline was set")
+    potential_maximal_cliques_until(g, Some(max_size), || false).expect("nothing stops it")
 }
 
 /// The enumeration behind every entry point: PMCs of size at most
 /// `max_size` when one is given (see [`potential_maximal_cliques_bounded`]),
-/// aborting with [`PmcDeadlineExceeded`] once the wall clock reaches
-/// `deadline`. The deadline is checked before each prefix and every 256
-/// candidate tests. Deadline-budgeted sessions and the tractability
+/// aborting with [`PmcStopped`] once `stop` returns `true`. `stop` is
+/// polled before each prefix and every 256 candidate tests; sessions pass a
+/// check of their deadline and cancel flag, and the tractability
 /// experiments (Figure 5), which classify graphs by whether the PMC
-/// computation finishes within a time limit, call it directly.
+/// computation finishes within a time limit, pass a deadline check.
 pub fn potential_maximal_cliques_until(
     g: &Graph,
     max_size: Option<usize>,
-    deadline: Option<Instant>,
-) -> Result<PmcEnumeration, PmcDeadlineExceeded> {
-    let expired = || deadline.is_some_and(|at| Instant::now() >= at);
+    stop: impl Fn() -> bool,
+) -> Result<PmcEnumeration, PmcStopped> {
     let n = g.n();
     if n == 0 {
         return Ok(PmcEnumeration {
@@ -136,8 +134,8 @@ pub fn potential_maximal_cliques_until(
     };
 
     for i in 2..=n {
-        if expired() {
-            return Err(PmcDeadlineExceeded);
+        if stop() {
+            return Err(PmcStopped);
         }
         let a = i - 1; // the newly introduced vertex
         for v in g.neighbors(a).iter().take_while(|&v| v < a) {
@@ -196,8 +194,8 @@ pub fn potential_maximal_cliques_until(
         // Filter candidates through the exact PMC test on the prefix graph.
         let mut next_pmcs: Vec<VertexSet> = Vec::new();
         for (k, cand) in candidates.drain().enumerate() {
-            if (k + 1).is_multiple_of(256) && expired() {
-                return Err(PmcDeadlineExceeded);
+            if (k + 1).is_multiple_of(256) && stop() {
+                return Err(PmcStopped);
             }
             tested += 1;
             if test.is_pmc(&gi, &prefix, &cand) {
@@ -289,6 +287,23 @@ mod tests {
                 .collect();
             assert_eq!(bounded.pmcs, expected, "bound {bound}");
         }
+    }
+
+    #[test]
+    fn a_raised_stop_check_aborts_the_enumeration() {
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
+        assert_eq!(
+            potential_maximal_cliques_until(&g, None, || true).unwrap_err(),
+            PmcStopped
+        );
+        // A check that fires only later stops it at a later checkpoint.
+        let polls = std::cell::Cell::new(0);
+        let stopped = potential_maximal_cliques_until(&g, None, || {
+            polls.set(polls.get() + 1);
+            polls.get() > 3
+        });
+        assert_eq!(stopped.unwrap_err(), PmcStopped);
+        assert_eq!(polls.get(), 4);
     }
 
     #[test]

@@ -22,6 +22,6 @@ pub mod test;
 pub use brute::potential_maximal_cliques_bruteforce;
 pub use enumerate::{
     potential_maximal_cliques, potential_maximal_cliques_bounded, potential_maximal_cliques_until,
-    PmcDeadlineExceeded, PmcEnumeration,
+    PmcEnumeration, PmcStopped,
 };
 pub use test::is_potential_maximal_clique;

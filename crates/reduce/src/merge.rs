@@ -47,8 +47,8 @@ use mtr_cache::{AtomKey, AtomStore, CacheEntry, CachedPrefix};
 use mtr_chordal::{maximal_cliques_chordal, minimal_separators_from_cliques};
 use mtr_core::cost::{AtomCombine, BagCost, CostValue};
 use mtr_core::pool::WorkerPool;
-use mtr_core::ranked::{RankedQueue, Ticket};
-use mtr_core::{heuristic_incumbent, CancelFlag, Preprocessed, RankedState, RankedTriangulation};
+use mtr_core::ranked::RankedQueue;
+use mtr_core::{CancelFlag, Preprocessed, RankedState, RankedTriangulation};
 use mtr_graph::{Graph, Vertex};
 use std::collections::HashSet;
 
@@ -135,11 +135,6 @@ pub(crate) struct AtomStream {
     /// The content address of this stream, when cache-keyed; publishing
     /// and seeding both go through it.
     key: Option<AtomKey>,
-    /// Incumbent-bounded pruning for the stream's own Lawler–Murty search
-    /// (exact — the emitted stream is identical either way). Set by
-    /// [`AtomStream::arm`] before the first pull; a lazily materialized
-    /// engine is armed the same way.
-    prune: bool,
     /// Cooperative cancellation: when raised, [`AtomStream::ensure`] bails
     /// out *without* marking the stream exhausted, so a partial prefix is
     /// still publishable (as incomplete) and never poisons the store.
@@ -208,7 +203,6 @@ impl AtomStream {
             seeded: 0,
             was_complete: false,
             key,
-            prune: false,
             cancel: None,
         }
     }
@@ -217,30 +211,6 @@ impl AtomStream {
     /// stream's engine (the per-atom demand boundary).
     pub(crate) fn bind_cancel(&mut self, flag: CancelFlag) {
         self.cancel = Some(flag);
-    }
-
-    /// Arms this stream's own enumeration with incumbent-bounded pruning,
-    /// seeded with a heuristic minimal triangulation of the stream graph.
-    /// Call before the first pull; seeded (lazy) streams arm their engine
-    /// when (and if) demand materializes it.
-    pub(crate) fn arm<K: BagCost + ?Sized>(
-        &mut self,
-        cost: &K,
-        width_bound: Option<usize>,
-        prune: bool,
-    ) {
-        self.prune = prune;
-        if let AtomEngine::Ranked { pre, state, .. } = &mut self.engine {
-            **state = armed_state(pre, cost, width_bound, prune);
-        }
-    }
-
-    /// Re-optimizations the stream's own pruning deferred and never paid.
-    fn nodes_pruned(&self) -> usize {
-        match &self.engine {
-            AtomEngine::Ranked { state, .. } => state.nodes_pruned(),
-            _ => 0,
-        }
     }
 
     /// Lawler–Murty partitions a *sequential* merge would have explored to
@@ -372,10 +342,9 @@ impl AtomStream {
                     Some(b) => Preprocessed::new_bounded(graph, *b),
                     None => Preprocessed::new(graph),
                 };
-                let state = armed_state(&pre, cost, width_bound, self.prune);
                 self.engine = AtomEngine::Ranked {
                     pre: Box::new(pre),
-                    state: Box::new(state),
+                    state: Box::new(RankedState::new()),
                     produced: 0,
                 };
             }
@@ -436,21 +405,6 @@ impl AtomStream {
     }
 }
 
-/// A fresh ranked state for a stream over `pre`, armed as
-/// [`AtomStream::arm`] asked.
-fn armed_state<K: BagCost + ?Sized>(
-    pre: &Preprocessed,
-    cost: &K,
-    width_bound: Option<usize>,
-    prune: bool,
-) -> RankedState {
-    let mut state = RankedState::new();
-    if prune {
-        state.enable_pruning(heuristic_incumbent(pre.graph(), cost, width_bound));
-    }
-    state
-}
-
 /// How one atom of the decomposition maps onto its (possibly shared)
 /// stream: the group index plus the vertex translation used on emission.
 pub(crate) struct MemberBinding {
@@ -461,15 +415,6 @@ pub(crate) struct MemberBinding {
     /// the atom's own mapping; with it, the composition through the
     /// canonical relabeling.
     pub emit_map: Vec<Vertex>,
-}
-
-/// One pending tuple of per-atom stream indices. Solved tuples are queued
-/// at their exact combined cost; deferred ones only at an admissible lower
-/// bound (the cost of the tuple they were generated from), and have not
-/// demanded anything from the per-atom streams yet.
-struct PendingTuple {
-    tuple: Vec<u32>,
-    solved: bool,
 }
 
 /// The merged, globally ranked enumerator over the product of the per-atom
@@ -490,12 +435,11 @@ pub(crate) struct FactorizedEnumerator<'a, 'p, K: BagCost + Sync + ?Sized> {
     streams: Vec<Option<AtomStream>>,
     pool: Option<WorkerPool<'a, 'p>>,
     prefetch: usize,
-    queue: RankedQueue<PendingTuple>,
+    /// Pending tuples of per-atom stream indices, each keyed by its exact
+    /// combined cost.
+    queue: RankedQueue<Vec<u32>>,
     seen: HashSet<Vec<u32>>,
     started: bool,
-    prune: bool,
-    incumbent: Option<CostValue>,
-    nodes_deferred: usize,
     cancel: Option<CancelFlag>,
     /// First pool-task failure (contained panic or injected fault) seen by
     /// a stream-advancing batch. Once set the merge stops producing: the
@@ -532,9 +476,6 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> FactorizedEnumerator<'a, 'p, K> {
             queue: RankedQueue::default(),
             seen: HashSet::new(),
             started: false,
-            prune: false,
-            incumbent: None,
-            nodes_deferred: 0,
             cancel: None,
             failed: None,
         }
@@ -551,34 +492,6 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> FactorizedEnumerator<'a, 'p, K> {
             }
         }
         self.cancel = Some(flag);
-    }
-
-    /// Enables incumbent-bounded pruning of the product-space merge,
-    /// optionally seeded with the cost of a heuristic triangulation of the
-    /// whole graph. Successor tuples of a popped tuple that is already
-    /// costlier than the incumbent are deferred: they enter the queue on the
-    /// parent's cost (a valid lower bound — per-atom streams are
-    /// nondecreasing and both combines are monotone) without demanding
-    /// anything from the per-atom streams, and are only priced if the
-    /// ranked order reaches them. Exact: the emitted sequence is unchanged.
-    pub(crate) fn enable_pruning(&mut self, incumbent: Option<CostValue>) {
-        debug_assert!(!self.started, "enable pruning before iterating");
-        self.prune = true;
-        self.incumbent = incumbent;
-    }
-
-    /// Deferred work never paid for: queued tuples still unpriced plus the
-    /// per-atom streams' own deferred re-optimizations.
-    pub(crate) fn nodes_pruned(&self) -> usize {
-        self.nodes_deferred
-            + (0..self.streams.len())
-                .map(|g| self.stream(g).nodes_pruned())
-                .sum::<usize>()
-    }
-
-    /// The current global incumbent bound, if pruning is active.
-    pub(crate) fn incumbent(&self) -> Option<CostValue> {
-        self.incumbent
     }
 
     fn stream(&self, group: usize) -> &AtomStream {
@@ -709,47 +622,7 @@ impl<'a, 'p, K: BagCost + Sync + ?Sized> FactorizedEnumerator<'a, 'p, K> {
             return;
         }
         if let Some(cost) = self.combined_cost(&tuple) {
-            let solved = true;
-            self.queue.push(cost, PendingTuple { tuple, solved });
-        }
-    }
-
-    /// Queues `tuple` on its parent's cost alone, without demanding
-    /// anything from the per-atom streams. Its place in the tie order is
-    /// fixed now (generation order), so if the tuple is later solved and
-    /// survives it ranks exactly where an eager push would have ranked it.
-    fn defer_tuple(&mut self, tuple: Vec<u32>, lower_bound: CostValue) {
-        if !self.seen.insert(tuple.clone()) {
-            return;
-        }
-        self.nodes_deferred += 1;
-        let solved = false;
-        self.queue.push(lower_bound, PendingTuple { tuple, solved });
-    }
-
-    /// Pays for a deferred tuple that reached the queue front: prices it
-    /// against the per-atom streams (pool-warming cold coordinates first)
-    /// and reinserts it at its exact cost in its original tie position.
-    /// Dropped if some coordinate is past the end of its stream.
-    fn solve_deferred(&mut self, ticket: Ticket, lower_bound: CostValue, tuple: Vec<u32>) {
-        self.nodes_deferred -= 1;
-        let wanted: Vec<(usize, usize)> = tuple
-            .iter()
-            .enumerate()
-            .map(|(i, &j)| (i, j as usize))
-            .collect();
-        self.ensure_batch(&wanted);
-        if self.failed.is_some() {
-            return;
-        }
-        if let Some(cost) = self.combined_cost(&tuple) {
-            debug_assert!(
-                cost >= lower_bound,
-                "deferred tuple lower bound was not admissible"
-            );
-            let solved = true;
-            self.queue
-                .reinsert(ticket, cost, PendingTuple { tuple, solved });
+            self.queue.push(cost, tuple);
         }
     }
 
@@ -804,54 +677,31 @@ impl<K: BagCost + Sync + ?Sized> Iterator for FactorizedEnumerator<'_, '_, K> {
             }
             self.push_tuple(vec![0; self.members.len()]);
         }
-        loop {
-            // The merge's demand boundary: between tuple pops, so a
-            // cancelled (or batch-failed) session never prices or
-            // materializes another tuple.
-            if self.failed.is_some() || self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                return None;
-            }
-            let (key, ticket, PendingTuple { tuple, solved }) = self.queue.pop()?;
-            if !solved {
-                // A deferred tuple reached the top: its exact cost is now
-                // needed to decide the order, so pay for it and re-rank.
-                self.solve_deferred(ticket, key, tuple);
-                continue;
-            }
-            // Every successor's lower bound is this tuple's cost (per-atom
-            // streams are nondecreasing and both combines monotone), so
-            // when that already exceeds the incumbent, defer all of them
-            // without touching the streams.
-            let defer_children = self.prune && self.incumbent.is_some_and(|inc| key > inc);
-            if !defer_children {
-                // Pool mode: warm every successor coordinate concurrently
-                // before the (sequential) queue pushes read the memoized
-                // costs.
-                let wanted: Vec<(usize, usize)> = tuple
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &j)| (i, j as usize + 1))
-                    .collect();
-                self.ensure_batch(&wanted);
-                if self.failed.is_some() {
-                    return None;
-                }
-            }
-            let result = self.materialize(&tuple, key);
-            for i in 0..tuple.len() {
-                let mut successor = tuple.clone();
-                successor[i] += 1;
-                if defer_children {
-                    self.defer_tuple(successor, key);
-                } else {
-                    self.push_tuple(successor);
-                }
-            }
-            if self.prune {
-                self.incumbent = Some(result.cost);
-            }
-            return Some(result);
+        // The merge's demand boundary: between tuple pops, so a cancelled
+        // (or batch-failed) session never prices or materializes another
+        // tuple.
+        if self.failed.is_some() || self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+            return None;
         }
+        let (key, tuple) = self.queue.pop()?;
+        // Pool mode: warm every successor coordinate concurrently before the
+        // (sequential) queue pushes read the memoized costs.
+        let wanted: Vec<(usize, usize)> = tuple
+            .iter()
+            .enumerate()
+            .map(|(i, &j)| (i, j as usize + 1))
+            .collect();
+        self.ensure_batch(&wanted);
+        if self.failed.is_some() {
+            return None;
+        }
+        let result = self.materialize(&tuple, key);
+        for i in 0..tuple.len() {
+            let mut successor = tuple.clone();
+            successor[i] += 1;
+            self.push_tuple(successor);
+        }
+        Some(result)
     }
 }
 
@@ -872,14 +722,6 @@ impl<K: BagCost + Sync + ?Sized> mtr_core::SessionEngine for FactorizedEnumerato
         // Distinct tuples materialize distinct fill unions (per-atom fill
         // sets are disjoint), and the `seen` set keeps tuples unique.
         0
-    }
-
-    fn nodes_pruned(&self) -> usize {
-        self.nodes_pruned()
-    }
-
-    fn incumbent_cost(&self) -> Option<CostValue> {
-        self.incumbent()
     }
 
     fn failure(&self) -> Option<String> {

@@ -80,12 +80,13 @@ use mtr_core::mintriang::{potential_maximal_cliques_counted, Preprocessed};
 use mtr_core::pool::{self, resolve_threads, WorkerPool};
 use mtr_core::ranked::RankedTriangulation;
 use mtr_core::session::{
-    drive_engine, heuristic_incumbent, CachePolicy, Enumerate, EnumerationError, EnumerationRun,
-    EnumerationStats, PruningPolicy, SessionConfig, SessionReport, StopReason,
+    drive_engine, CachePolicy, Enumerate, EnumerationError, EnumerationRun, EnumerationStats,
+    SessionConfig, SessionReport, StopReason,
 };
 use mtr_core::symmetry::SymmetryPolicy;
+use mtr_core::CancelFlag;
 use mtr_graph::Graph;
-use mtr_pmc::enumerate::PmcDeadlineExceeded;
+use mtr_pmc::enumerate::PmcStopped;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -161,14 +162,6 @@ impl<'a, K: BagCost + Sync + ?Sized> Reduced<'a, K> {
     /// chained after `.reduce(..)` too).
     pub fn cache(mut self, policy: CachePolicy) -> Self {
         self.config.cache = policy;
-        self
-    }
-
-    /// Incumbent-bounded pruning policy (mirrors [`Enumerate::pruning`]):
-    /// applies both to the product-space merge and to every per-atom
-    /// stream's own Lawler–Murty search. Exact either way.
-    pub fn pruning(mut self, policy: PruningPolicy) -> Self {
-        self.config.pruning = policy;
         self
     }
 
@@ -416,16 +409,18 @@ impl StatsContext {
 }
 
 /// Builds one non-chordal group's cold ranked stream: its own (possibly
-/// width-bounded) `Preprocessed`, stopped at the session deadline. A plain
-/// function (not a closure) so pool tasks can call it while borrowing only
-/// the stream's graph.
+/// width-bounded) `Preprocessed`, stopped at the session deadline or
+/// cancel flag. A plain function (not a closure) so pool tasks can call it
+/// while borrowing only the stream's graph.
 fn build_stream(
     graph: &Graph,
     key: Option<AtomKey>,
     width_bound: Option<usize>,
     deadline_at: Option<Instant>,
-) -> Result<AtomStream, PmcDeadlineExceeded> {
-    let e = potential_maximal_cliques_counted(graph, width_bound.map(|b| b + 1), deadline_at)?;
+    cancel: Option<&CancelFlag>,
+) -> Result<AtomStream, PmcStopped> {
+    let max_size = width_bound.map(|b| b + 1);
+    let e = potential_maximal_cliques_counted(graph, max_size, deadline_at, cancel)?;
     let pre =
         Preprocessed::from_parts_threaded(graph, e.minimal_separators, e.pmcs, width_bound, 1);
     Ok(AtomStream::cold(pre, key))
@@ -453,16 +448,17 @@ where
     let ctx = StatsContext::new(setup, config.cost().name(), atom_count, threads);
     let deadline_at = config.deadline.and_then(|d| started.checked_add(d));
     let width_bound = config.width_bound;
+    let cancel = config.cancel.as_ref();
     let aborted_init = |started: &Instant| SessionReport {
         stats: ctx.stats(started, false),
-        stop_reason: StopReason::DeadlineExceeded,
+        stop_reason: StopReason::preprocessing_stopped(cancel),
     };
 
     // Per-group stream construction: chordal groups get trivial streams,
     // cache hits are seeded (no preprocessing yet), and the remaining cold
     // groups are independent subproblems — with a pool they are
-    // preprocessed concurrently (the deadline applies inside each task).
-    // Sequentially the deadline covers the whole sequence as before.
+    // preprocessed concurrently (the deadline and cancel flag apply inside
+    // each task). Sequentially they cover the whole sequence.
     let specs = &setup.plan.specs;
     let mut slots: Vec<Option<AtomStream>> = Vec::with_capacity(specs.len());
     let mut pending: Vec<usize> = Vec::new();
@@ -489,9 +485,10 @@ where
                 .map(|&g| {
                     let spec = &specs[g];
                     move || {
+                        let key = spec.key.clone();
                         (
                             g,
-                            build_stream(&spec.graph, spec.key.clone(), width_bound, deadline_at),
+                            build_stream(&spec.graph, key, width_bound, deadline_at, cancel),
                         )
                     }
                 })
@@ -502,33 +499,25 @@ where
             for (g, built) in built_streams {
                 match built {
                     Ok(stream) => slots[g] = Some(stream),
-                    Err(PmcDeadlineExceeded) => return Ok(aborted_init(&started)),
+                    Err(PmcStopped) => return Ok(aborted_init(&started)),
                 }
             }
         }
         _ => {
             for &g in &pending {
                 let spec = &specs[g];
-                match build_stream(&spec.graph, spec.key.clone(), width_bound, deadline_at) {
+                let key = spec.key.clone();
+                match build_stream(&spec.graph, key, width_bound, deadline_at, cancel) {
                     Ok(stream) => slots[g] = Some(stream),
-                    Err(PmcDeadlineExceeded) => return Ok(aborted_init(&started)),
+                    Err(PmcStopped) => return Ok(aborted_init(&started)),
                 }
             }
         }
     }
-    let mut streams: Vec<AtomStream> = slots
+    let streams: Vec<AtomStream> = slots
         .into_iter()
         .map(|s| s.expect("every group got a stream"))
         .collect();
-
-    // Incumbent-bounded pruning, both per atom (each stream's own
-    // Lawler–Murty search gets a heuristic seed for its atom graph) and
-    // across the merge (a whole-graph heuristic seed bounds the product
-    // space before the first result is even emitted).
-    let prune = config.pruning.is_enabled();
-    for stream in &mut streams {
-        stream.arm(config.cost(), width_bound, prune);
-    }
 
     let mut engine = FactorizedEnumerator::new(
         graph,
@@ -539,9 +528,6 @@ where
         streams,
         worker_pool,
     );
-    if prune {
-        engine.enable_pruning(heuristic_incumbent(graph, config.cost(), width_bound));
-    }
     if let Some(flag) = &config.cancel {
         engine.bind_cancel(flag.clone());
     }

@@ -125,7 +125,8 @@ pub fn classify_graph(
         }
     };
     let pmc_start = Instant::now();
-    let pmc = potential_maximal_cliques_until(g, None, Some(pmc_start + budget.pmc_time));
+    let pmc_deadline = pmc_start + budget.pmc_time;
+    let pmc = potential_maximal_cliques_until(g, None, || Instant::now() >= pmc_deadline);
     let pmc_time = pmc_start.elapsed();
     match pmc {
         Ok(enumeration) => (

@@ -44,8 +44,8 @@
 use ranked_triangulations::cache::{self, AtomStore, StoreStats, DEFAULT_BYTE_BUDGET};
 use ranked_triangulations::chordal::{self, clique_tree, write_td};
 use ranked_triangulations::core::{
-    Enumerate, EnumerationError, EnumerationRun, EnumerationStats, PruningPolicy,
-    RankedTriangulation, SimilarityMeasure, StopReason, SymmetryPolicy,
+    Enumerate, EnumerationError, EnumerationRun, EnumerationStats, RankedTriangulation,
+    SimilarityMeasure, StopReason, SymmetryPolicy,
 };
 use ranked_triangulations::fault;
 use ranked_triangulations::graph::{io, Graph};
@@ -80,7 +80,6 @@ struct Options {
     reduce: ReductionLevel,
     cache: bool,
     cache_dir: Option<PathBuf>,
-    no_prune: bool,
     symmetry: SymmetryPolicy,
     stats_json: bool,
     emit_td: Option<PathBuf>,
@@ -115,8 +114,7 @@ fn usage() -> &'static str {
     "usage: mtr <graph-file|-> [--format pace|dimacs|edges] [--cost width|fill|width-fill|expbags]\n\
      \x20          [--top <k>] [--width-bound <b>] [--threads <t>] [--diverse <threshold>]\n\
      \x20          [--deadline <secs>] [--node-budget <n>] [--reduce off|components|full]\n\
-     \x20          [--cache] [--cache-dir <directory>] [--no-prune]\n\
-     \x20          [--modulo-symmetry]\n\
+     \x20          [--cache] [--cache-dir <directory>] [--modulo-symmetry]\n\
      \x20          [--stats-json] [--emit-td <directory>] [--bounds] [--trace-json <path>]\n\
      \x20          [--fault <spec>]\n\
      \x20      mtr atoms <graph-file|-> [--format pace|dimacs|edges] [--reduce components|full]\n\
@@ -133,8 +131,6 @@ fn usage() -> &'static str {
      \x20      workers advance the per-atom streams, otherwise the partition expansions\n\
      \x20      --cache enables the canonical-form atom cache (requires --reduce);\n\
      \x20      --cache-dir additionally persists atom prefixes across runs\n\
-     \x20      --no-prune disables incumbent-bounded branch pruning (on by default;\n\
-     \x20      pruning never changes the results, only the work performed)\n\
      \x20      --modulo-symmetry emits one representative per automorphism orbit of\n\
      \x20      minimal triangulations (for label-invariant costs)\n\
      \x20      --trace-json records every span and event as JSONL (see docs/OBSERVABILITY.md);\n\
@@ -175,7 +171,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         },
         cache: false,
         cache_dir: None,
-        no_prune: false,
         symmetry: SymmetryPolicy::default(),
         stats_json: false,
         emit_td: None,
@@ -246,7 +241,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.cache = true;
                 opts.cache_dir = Some(PathBuf::from(value("--cache-dir")?));
             }
-            "--no-prune" => opts.no_prune = true,
             "--modulo-symmetry" => opts.symmetry = SymmetryPolicy::ModuloSymmetry,
             "--stats-json" => opts.stats_json = true,
             "--emit-td" => opts.emit_td = Some(PathBuf::from(value("--emit-td")?)),
@@ -361,9 +355,6 @@ fn enumerate(
     }
     if let Some(nodes) = opts.node_budget {
         session = session.node_budget(nodes);
-    }
-    if opts.no_prune {
-        session = session.pruning(PruningPolicy::Off);
     }
     session = session.symmetry(opts.symmetry);
     // `ReductionLevel::Off` transparently runs the direct engine, so the
@@ -632,17 +623,6 @@ fn run_inner(opts: &Options) -> Result<(), CliError> {
             delay.as_secs_f64() * 1000.0,
             stats.nodes_explored,
             stats.max_queue_depth
-        );
-    }
-    if opts.no_prune {
-        println!("pruning: disabled (--no-prune)");
-    } else {
-        println!(
-            "pruning: {} nodes pruned, incumbent {}",
-            stats.nodes_pruned,
-            stats
-                .incumbent_cost
-                .map_or_else(|| "none".into(), |c| format!("{c}"))
         );
     }
     if stats.symmetry_group_order > 1 || stats.orbits_merged > 0 {
@@ -1351,7 +1331,6 @@ mod tests {
         assert!(json.contains("\"worker_tasks\": []"));
         assert!(json.contains("\"steals\": 0"));
         assert!(json.contains("\"nodes_pruned\": "));
-        assert!(json.contains("\"incumbent_cost\": "));
         assert!(json.contains("\"delays_ms\": ["));
         assert!(json.contains("\"symmetry\": {\"group_order\": "));
         assert!(json.contains("\"orbits_merged\": "));
@@ -1363,24 +1342,19 @@ mod tests {
     }
 
     #[test]
-    fn no_prune_flag_disables_pruning_without_changing_results() {
+    fn no_prune_flag_is_rejected_as_unknown() {
+        let err = parse_args(&args(&["g.gr", "--no-prune"]))
+            .err()
+            .expect("--no-prune is an unknown flag");
+        assert!(err.starts_with("unknown flag --no-prune\n"), "{err}");
+        assert!(!usage().contains("--no-prune"));
+        // The stats keep their inert `nodes_pruned` key for existing readers.
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let (pruned, _) = enumerate(
-            &g,
-            &parse_args(&args(&["g", "--cost", "fill", "--top", "5"])).unwrap(),
-        )
-        .unwrap();
-        let opts = parse_args(&args(&["g", "--cost", "fill", "--top", "5", "--no-prune"])).unwrap();
-        assert!(opts.no_prune);
-        let (plain, _) = enumerate(&g, &opts).unwrap();
-        assert_eq!(plain.stats.nodes_pruned, 0);
-        assert_eq!(plain.stats.incumbent_cost, None);
-        let pruned_costs: Vec<_> = pruned.results.iter().map(|r| r.cost).collect();
-        let plain_costs: Vec<_> = plain.results.iter().map(|r| r.cost).collect();
-        assert_eq!(pruned_costs, plain_costs);
-        let json = stats_json(&plain.stats, plain.stop_reason, None);
+        let opts = parse_args(&args(&["g", "--cost", "fill", "--top", "5"])).unwrap();
+        let (run, _) = enumerate(&g, &opts).unwrap();
+        let json = stats_json(&run.stats, run.stop_reason, None);
         assert!(json.contains("\"nodes_pruned\": 0"));
-        assert!(json.contains("\"incumbent_cost\": null"));
+        assert!(!json.contains("incumbent"));
     }
 
     #[test]

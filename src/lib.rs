@@ -140,9 +140,9 @@ pub mod prelude {
         top_k_proper_decompositions, top_k_triangulations, CachePolicy, CancelFlag, CkkEnumerator,
         DecompositionRun, Diversified, DiversityFilter, Enumerate, EnumerationError,
         EnumerationRun, EnumerationStats, LbTriangSampler, PoolStats, Preprocessed,
-        ProperDecompositionEnumerator, PruningPolicy, RankedDecomposition, RankedEnumerator,
-        RankedState, RankedTriangulation, SessionReport, SimilarityMeasure, StopReason,
-        Triangulation, WorkerPool,
+        ProperDecompositionEnumerator, RankedDecomposition, RankedEnumerator, RankedState,
+        RankedTriangulation, SessionReport, SimilarityMeasure, StopReason, Triangulation,
+        WorkerPool,
     };
     pub use mtr_graph::{CanonicalForm, CanonicalKey, Graph, Hypergraph, Vertex, VertexSet};
     pub use mtr_reduce::{decompose, Decomposition, EnumerateReduceExt, Reduced, ReductionLevel};

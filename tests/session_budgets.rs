@@ -91,6 +91,46 @@ fn deadline_can_abort_preprocessing() {
     assert!(run.results.is_empty());
 }
 
+/// The cancel flag stops preprocessing too: PMC enumeration polls it where
+/// it polls the deadline, so a session cancelled before it starts reports
+/// the aborted initialization as `Cancelled` — directly, and through the
+/// factorized engine, whose per-atom preprocessing runs inline or on the
+/// pool.
+#[test]
+fn cancel_flag_can_abort_preprocessing() {
+    let g = random::gnp_connected(30, 0.15, 5);
+    let mut two_copies: Vec<(u32, u32)> = Vec::new();
+    for u in 0..30 {
+        for v in g.neighbors(u).iter().filter(|&v| v > u) {
+            two_copies.extend([(u, v), (u + 30, v + 30)]);
+        }
+    }
+    let two_copies = Graph::from_edges(60, &two_copies);
+    for threads in [1, 2] {
+        let flag = CancelFlag::new();
+        flag.cancel();
+        let direct = Enumerate::on(&g)
+            .cost(&Width)
+            .threads(threads)
+            .cancel_flag(flag.clone())
+            .run()
+            .expect("a cancelled session cannot be misconfigured");
+        let reduced = Enumerate::on(&two_copies)
+            .cost(&Width)
+            .threads(threads)
+            .cancel_flag(flag)
+            .reduce(ReductionLevel::Full)
+            .run()
+            .expect("a cancelled session cannot be misconfigured");
+        assert!(reduced.stats.atoms >= 2, "the factorized engine ran");
+        for run in [direct, reduced] {
+            assert_eq!(run.stop_reason, StopReason::Cancelled);
+            assert!(!run.stats.preprocessing_complete, "threads = {threads}");
+            assert!(run.results.is_empty());
+        }
+    }
+}
+
 /// Budgets compose: whichever budget trips first determines the reason, and
 /// the results are a prefix of the unbudgeted stream in every case.
 #[test]
