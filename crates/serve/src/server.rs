@@ -33,10 +33,26 @@
 //! **Cancellation and shutdown**: a disconnect observed by the IO thread
 //! raises the session's [`CancelFlag`]; every engine bails at its next
 //! demand boundary ([`StopReason::Cancelled`]) and partial per-atom
-//! prefixes are still published to the store (marked incomplete). A
+//! prefixes are still published to the store (marked incomplete). So does
+//! the `--max-session-ms` watchdog, which runs on the IO thread: each loop
+//! pass cancels the supervised sessions that are past their cap. A
 //! graceful shutdown — [`ServerHandle::shutdown`] or a client `shutdown`
 //! frame — stops accepting connections, drains every admitted session to
 //! completion, flushes all buffers, then exits.
+//!
+//! # Lifecycle
+//!
+//! When each thread may exit is decided by one `Lifecycle` under one
+//! lock: the draining flag, the admission and warm/cold queues, the
+//! per-tenant in-flight counts and the supervised sessions. Admitting a
+//! request, a runner's pop with its supervision entry, and a session's
+//! retirement are each one critical section, and the lock is held only
+//! for those queue and count updates. The admission worker and the
+//! runners exit on `Lifecycle::drained` (draining with nothing in
+//! flight); the IO thread exits on it once it also holds no connection, so
+//! it outlives every session and with it the watchdog. A parked thread is
+//! woken only when its predicate may have changed: on new work in its
+//! queue, or when the daemon drains.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -44,14 +60,13 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mtr_cache::{AtomKey, AtomStore, DEFAULT_BYTE_BUDGET};
 use mtr_core::cost::named_cost;
-use mtr_core::{CancelFlag, Enumerate, StopReason};
+use mtr_core::{resolve_threads, CancelFlag, Enumerate, StopReason};
 use mtr_graph::Graph;
 use mtr_reduce::{decompose, EnumerateReduceExt, ReductionLevel};
 
@@ -98,6 +113,11 @@ fn serve_metrics() -> &'static ServeMetrics {
 /// tenant table without bound. Requests beyond the cap are counted under
 /// the synthetic tenant `"other"`.
 const MAX_TENANT_METRICS: usize = 64;
+
+/// Cap on a served session's worker threads, and on the runner count when
+/// [`ServerConfig::workers`] is 0: the wire `threads` field is client
+/// input, and each session thread is an OS thread.
+const THREAD_CAP: usize = 8;
 
 /// Worker blocks when a connection's write buffer exceeds this.
 const HIGH_WATER: usize = 256 * 1024;
@@ -331,7 +351,6 @@ struct Pending {
     req: EnumerateRequest,
     out: Arc<ConnOut>,
     cancel: CancelFlag,
-    tenant: String,
     /// When stage-one admission accepted the request (`None` only if the
     /// metrics level was somehow off — the daemon raises it at startup).
     accepted_at: Option<Instant>,
@@ -343,54 +362,107 @@ struct Job {
     graph: Graph,
     out: Arc<ConnOut>,
     cancel: CancelFlag,
-    tenant: String,
     /// Which queue admission chose (`true` = warm).
     warm: bool,
     /// See [`Pending::accepted_at`].
     accepted_at: Option<Instant>,
 }
 
-#[derive(Default)]
-struct Sched {
+/// The daemon's lifecycle state, all under [`Shared::lifecycle`]'s lock
+/// (see the module docs). A session is *in flight* from stage-one
+/// admission until its retirement: pending, queued or running.
+struct Lifecycle {
+    /// Shutdown has begun: admission refuses new requests. Never cleared,
+    /// so once draining the in-flight count can only fall.
+    draining: bool,
+    /// Requests accepted by the IO thread, awaiting classification.
+    admission: VecDeque<Pending>,
+    /// Classified sessions awaiting a runner; runners pop warm first.
     warm: VecDeque<Job>,
+    /// See [`Lifecycle::warm`].
     cold: VecDeque<Job>,
+    /// In-flight sessions per tenant. An entry exists only while its
+    /// count is positive, so an empty map means nothing is in flight.
+    tenants: HashMap<String, usize>,
+    /// Watchdog supervision, one slot per session runner: the instant
+    /// past which the runner's session is overdue, and its cancel flag.
+    supervised: Vec<Option<(Instant, CancelFlag)>>,
+}
+
+impl Lifecycle {
+    /// The exit predicate: draining with nothing in flight. The admission
+    /// worker and the session runners exit on it, and the IO thread once it
+    /// also holds no connection. It is final: a draining daemon admits
+    /// nothing, so no work can arrive after it holds.
+    fn drained(&self) -> bool {
+        self.draining && self.tenants.is_empty()
+    }
+
+    /// The watchdog: cancels every supervised session past its cap.
+    fn cancel_overdue(&mut self, now: Instant) {
+        for slot in &mut self.supervised {
+            if let Some((_, cancel)) = slot.take_if(|(overdue_at, _)| *overdue_at <= now) {
+                cancel.cancel();
+            }
+        }
+    }
 }
 
 struct Shared {
     store: Arc<AtomStore>,
-    /// Requests accepted by the IO thread, awaiting classification.
-    admission: Mutex<VecDeque<Pending>>,
+    lifecycle: Mutex<Lifecycle>,
+    /// Wakes the admission worker: a request was queued for it, or the
+    /// daemon drained.
     admission_cv: Condvar,
-    sched: Mutex<Sched>,
-    sched_cv: Condvar,
-    /// In-flight (queued + running) session count per tenant.
-    tenants: Mutex<HashMap<String, usize>>,
+    /// Wakes the session runners: a session was queued, or the daemon
+    /// drained.
+    runner_cv: Condvar,
     /// Cumulative requests per tenant (bounded at [`MAX_TENANT_METRICS`]
     /// distinct names; overflow folds into `"other"`). Also published to
     /// the obs registry as `serve.tenant.<name>.requests`.
     tenant_metrics: Mutex<HashMap<String, mtr_obs::Counter>>,
     /// Slow-request log threshold (see [`ServerConfig::slow_ms`]).
     slow_ms: Option<u64>,
-    /// Sessions admitted but not yet finished (pending, queued, or
-    /// running).
-    in_flight: AtomicUsize,
-    shutting_down: AtomicBool,
     quota: TenantQuota,
     /// See [`ServerConfig::max_session_ms`].
     max_session_ms: Option<u64>,
-    /// Sessions under watchdog supervision: registration id, the instant
-    /// past which the session is overdue, and its cancel flag.
-    watchdog: Mutex<WatchdogState>,
-    watchdog_cv: Condvar,
-}
-
-#[derive(Default)]
-struct WatchdogState {
-    next_id: u64,
-    entries: Vec<(u64, Instant, CancelFlag)>,
 }
 
 impl Shared {
+    fn lifecycle(&self) -> MutexGuard<'_, Lifecycle> {
+        self.lifecycle.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Parks on `cv` until `pop` takes work from the lifecycle (`Some`) or
+    /// the daemon has drained (`None`: the calling thread exits).
+    fn next_work<T>(
+        &self,
+        cv: &Condvar,
+        mut pop: impl FnMut(&mut Lifecycle) -> Option<T>,
+    ) -> Option<T> {
+        let mut lifecycle = self.lifecycle();
+        loop {
+            if let Some(work) = pop(&mut lifecycle) {
+                return Some(work);
+            }
+            if lifecycle.drained() {
+                return None;
+            }
+            lifecycle = cv.wait(lifecycle).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Wakes every parked thread once the daemon has drained, so each
+    /// observes the exit predicate.
+    fn wake_if_drained(&self, lifecycle: MutexGuard<'_, Lifecycle>) {
+        let drained = lifecycle.drained();
+        drop(lifecycle);
+        if drained {
+            self.admission_cv.notify_all();
+            self.runner_cv.notify_all();
+        }
+    }
+
     /// Counts one request for `tenant`, folding names past the table cap
     /// into `"other"` so client-chosen tenant strings cannot grow the
     /// daemon's memory (or the obs registry) without bound.
@@ -410,90 +482,28 @@ impl Shared {
             .incr();
     }
 
-    fn release_tenant(&self, tenant: &str) {
-        let mut tenants = self.tenants.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(count) = tenants.get_mut(tenant) {
+    /// Retires one in-flight session of `tenant`, and clears the watchdog
+    /// slot of the runner that ran it (`None` for a session the admission
+    /// worker dropped).
+    fn retire(&self, tenant: &str, runner: Option<usize>) {
+        let mut lifecycle = self.lifecycle();
+        if let Some(runner) = runner {
+            lifecycle.supervised[runner] = None;
+        }
+        if let Some(count) = lifecycle.tenants.get_mut(tenant) {
             *count -= 1;
             if *count == 0 {
-                tenants.remove(tenant);
+                lifecycle.tenants.remove(tenant);
             }
         }
+        self.wake_if_drained(lifecycle);
     }
 
-    /// Retires one in-flight session: tenant slot and drain counter.
-    fn retire(&self, tenant: &str) {
-        self.release_tenant(tenant);
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Raises the shutdown flag and wakes every parked thread (admission
-    /// worker, session runners, and watchdog) so they can observe it.
+    /// Begins the graceful drain.
     fn begin_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::SeqCst);
-        self.admission_cv.notify_all();
-        self.sched_cv.notify_all();
-        self.watchdog_cv.notify_all();
-    }
-
-    /// Puts a session under watchdog supervision; returns the token to
-    /// pass to [`Shared::unwatch`] when the session finishes.
-    fn watch(&self, deadline: Instant, cancel: CancelFlag) -> u64 {
-        let mut state = self.watchdog.lock().unwrap_or_else(|e| e.into_inner());
-        let id = state.next_id;
-        state.next_id += 1;
-        state.entries.push((id, deadline, cancel));
-        drop(state);
-        self.watchdog_cv.notify_all();
-        id
-    }
-
-    fn unwatch(&self, id: u64) {
-        let mut state = self.watchdog.lock().unwrap_or_else(|e| e.into_inner());
-        state.entries.retain(|(entry_id, _, _)| *entry_id != id);
-    }
-}
-
-/// The watchdog thread: cancels any supervised session still running
-/// past its per-session deadline ([`ServerConfig::max_session_ms`]).
-/// Sleeps until the earliest registered deadline; parks on the condvar
-/// while nothing is supervised. Like the session runners, it exits only
-/// once shutdown has begun and nothing is in flight.
-fn run_watchdog(shared: &Arc<Shared>) {
-    let mut state = shared.watchdog.lock().unwrap_or_else(|e| e.into_inner());
-    loop {
-        let now = Instant::now();
-        state.entries.retain(|(_, deadline, cancel)| {
-            if *deadline <= now {
-                cancel.cancel();
-                false
-            } else {
-                true
-            }
-        });
-        // An empty watch list is not enough to exit on during a drain: a
-        // runner may still pop a queued session and `watch` it, and that
-        // session must stay under the cap.
-        if shared.shutting_down.load(Ordering::SeqCst)
-            && state.entries.is_empty()
-            && shared.in_flight.load(Ordering::SeqCst) == 0
-        {
-            return;
-        }
-        let next = state.entries.iter().map(|(_, at, _)| *at).min();
-        state = match next {
-            Some(at) => {
-                let wait = at.saturating_duration_since(Instant::now());
-                let (next_state, _timeout) = shared
-                    .watchdog_cv
-                    .wait_timeout(state, wait)
-                    .unwrap_or_else(|e| e.into_inner());
-                next_state
-            }
-            None => shared
-                .watchdog_cv
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner()),
-        };
+        let mut lifecycle = self.lifecycle();
+        lifecycle.draining = true;
+        self.wake_if_drained(lifecycle);
     }
 }
 
@@ -507,7 +517,6 @@ pub struct ServerHandle {
     local_addr: Option<SocketAddr>,
     io_thread: Option<JoinHandle<()>>,
     admission_thread: Option<JoinHandle<()>>,
-    watchdog_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -549,11 +558,6 @@ impl ServerHandle {
         if let Some(admission) = self.admission_thread.take() {
             if admission.join().is_err() {
                 eprintln!("[mtr-serve] admission worker panicked during shutdown");
-            }
-        }
-        if let Some(watchdog) = self.watchdog_thread.take() {
-            if watchdog.join().is_err() {
-                eprintln!("[mtr-serve] watchdog thread panicked during shutdown");
             }
         }
         for worker in self.workers.drain(..) {
@@ -600,36 +604,38 @@ pub fn serve(addr: &BindAddr, config: ServerConfig) -> std::io::Result<ServerHan
     // the first request. (Never *lowers* an ambient Trace level.)
     mtr_obs::raise_level(mtr_obs::Level::Metrics);
 
-    let shared = Arc::new(Shared {
-        store,
-        admission: Mutex::new(VecDeque::new()),
-        admission_cv: Condvar::new(),
-        sched: Mutex::new(Sched::default()),
-        sched_cv: Condvar::new(),
-        tenants: Mutex::new(HashMap::new()),
-        tenant_metrics: Mutex::new(HashMap::new()),
-        slow_ms: config.slow_ms,
-        in_flight: AtomicUsize::new(0),
-        shutting_down: AtomicBool::new(false),
-        quota: config.quota.clone(),
-        max_session_ms: config.max_session_ms,
-        watchdog: Mutex::new(WatchdogState::default()),
-        watchdog_cv: Condvar::new(),
-    });
-
     let worker_count = if config.workers == 0 {
         std::thread::available_parallelism()
-            .map(|p| p.get().min(8))
+            .map(|p| p.get().min(THREAD_CAP))
             .unwrap_or(2)
     } else {
         config.workers
     };
+
+    let shared = Arc::new(Shared {
+        store,
+        lifecycle: Mutex::new(Lifecycle {
+            draining: false,
+            admission: VecDeque::new(),
+            warm: VecDeque::new(),
+            cold: VecDeque::new(),
+            tenants: HashMap::new(),
+            supervised: vec![None; worker_count],
+        }),
+        admission_cv: Condvar::new(),
+        runner_cv: Condvar::new(),
+        tenant_metrics: Mutex::new(HashMap::new()),
+        slow_ms: config.slow_ms,
+        quota: config.quota.clone(),
+        max_session_ms: config.max_session_ms,
+    });
+
     let workers = (0..worker_count)
         .map(|i| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("mtr-serve-runner-{i}"))
-                .spawn(move || supervise("session runner", || run_sessions(&shared)))
+                .spawn(move || supervise("session runner", || run_sessions(&shared, i)))
                 .expect("spawn session runner")
         })
         .collect();
@@ -639,14 +645,6 @@ pub fn serve(addr: &BindAddr, config: ServerConfig) -> std::io::Result<ServerHan
         .name("mtr-serve-admission".into())
         .spawn(move || supervise("admission worker", || run_admission(&admission_shared)))
         .expect("spawn admission worker");
-
-    let watchdog_thread = config.max_session_ms.map(|_| {
-        let watchdog_shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("mtr-serve-watchdog".into())
-            .spawn(move || supervise("watchdog", || run_watchdog(&watchdog_shared)))
-            .expect("spawn watchdog thread")
-    });
 
     let io_shared = Arc::clone(&shared);
     let allow_remote_shutdown = config.allow_remote_shutdown;
@@ -660,7 +658,6 @@ pub fn serve(addr: &BindAddr, config: ServerConfig) -> std::io::Result<ServerHan
         local_addr,
         io_thread: Some(io_thread),
         admission_thread: Some(admission_thread),
-        watchdog_thread,
         workers,
     })
 }
@@ -728,9 +725,32 @@ fn event_loop(listener: NetListener, shared: &Arc<Shared>, allow_remote_shutdown
     let mut shutdown_since: Option<Instant> = None;
     let mut last_drain_report: Option<Instant> = None;
     loop {
-        let shutting_down = shared.shutting_down.load(Ordering::SeqCst);
-        if shutting_down && shutdown_since.is_none() {
-            shutdown_since = Some(Instant::now());
+        let (drain, drained) = {
+            let mut lifecycle = shared.lifecycle();
+            lifecycle.cancel_overdue(Instant::now());
+            let drain = lifecycle.draining.then(|| {
+                let in_flight: usize = lifecycle.tenants.values().sum();
+                (lifecycle.warm.len(), lifecycle.cold.len(), in_flight)
+            });
+            (drain, lifecycle.drained())
+        };
+        if drained && conns.is_empty() {
+            return;
+        }
+        let shutting_down = drain.is_some();
+        if let Some((warm_depth, cold_depth, in_flight)) = drain {
+            shutdown_since.get_or_insert_with(Instant::now);
+            // Drain progress, once a second: the scheduler's queue depths
+            // and in-flight session count, so an operator watching a slow
+            // graceful shutdown can see it is actually moving.
+            if last_drain_report.is_none_or(|at| at.elapsed() >= Duration::from_secs(1)) {
+                eprintln!(
+                    "[mtr-serve] draining: warm={warm_depth} cold={cold_depth} \
+                     in_flight={in_flight} connections={}",
+                    conns.len()
+                );
+                last_drain_report = Some(Instant::now());
+            }
         }
         let mut progressed = false;
 
@@ -904,44 +924,6 @@ fn event_loop(listener: NetListener, shared: &Arc<Shared>, allow_remote_shutdown
             }
         }
 
-        if shutting_down {
-            let (warm_depth, cold_depth) = {
-                let sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-                (sched.warm.len(), sched.cold.len())
-            };
-            let queues_empty = warm_depth == 0 && cold_depth == 0;
-            let in_flight = shared.in_flight.load(Ordering::SeqCst);
-            // Drain progress, once a second: the scheduler's queue depths
-            // and in-flight session count, so an operator watching a slow
-            // graceful shutdown can see it is actually moving.
-            if !(conns.is_empty() && queues_empty && in_flight == 0)
-                && last_drain_report.is_none_or(|at| at.elapsed() >= Duration::from_secs(1))
-            {
-                eprintln!(
-                    "[mtr-serve] draining: warm={warm_depth} cold={cold_depth} \
-                     in_flight={in_flight} connections={}",
-                    conns.len()
-                );
-                last_drain_report = Some(Instant::now());
-            }
-            if conns.is_empty() && queues_empty && in_flight == 0 {
-                // Wake the admission worker, any runner and the watchdog
-                // still parked on their condvars so they observe the flag
-                // and exit. Each notify is sent under its lock, so a thread
-                // between its exit check and its wait cannot miss it.
-                let admission = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
-                shared.admission_cv.notify_all();
-                drop(admission);
-                let sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-                shared.sched_cv.notify_all();
-                drop(sched);
-                let watchdog = shared.watchdog.lock().unwrap_or_else(|e| e.into_inner());
-                shared.watchdog_cv.notify_all();
-                drop(watchdog);
-                return;
-            }
-        }
-
         if !progressed {
             std::thread::sleep(IDLE_SLEEP);
         }
@@ -1074,13 +1056,6 @@ fn metrics_response(shared: &Arc<Shared>) -> String {
 /// Refusals are per-request error frames; the connection stays open and
 /// usable.
 fn admit(conn: &mut Conn, mut req: EnumerateRequest, shared: &Arc<Shared>) {
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        conn.queue_text(protocol::error_frame(&ProtocolError {
-            code: "shutting-down",
-            message: "daemon is draining".into(),
-        }));
-        return;
-    }
     if named_cost(&req.cost).is_none() {
         conn.queue_text(protocol::error_frame(&ProtocolError {
             code: "unknown-cost",
@@ -1109,25 +1084,8 @@ fn admit(conn: &mut Conn, mut req: EnumerateRequest, shared: &Arc<Shared>) {
         }
     }
 
-    // Per-tenant concurrency quota.
-    {
-        let mut tenants = shared.tenants.lock().unwrap_or_else(|e| e.into_inner());
-        let count = tenants.entry(req.tenant.clone()).or_insert(0);
-        if *count >= shared.quota.max_concurrent_sessions {
-            drop(tenants);
-            conn.queue_text(protocol::error_frame(&ProtocolError {
-                code: "quota-exceeded",
-                message: format!(
-                    "tenant \"{}\" already has {} in-flight sessions",
-                    req.tenant, shared.quota.max_concurrent_sessions
-                ),
-            }));
-            return;
-        }
-        *count += 1;
-    }
-
-    // Clamp budgets to the configured caps.
+    // Clamp budgets to the configured caps, and the session's worker
+    // threads to the daemon's.
     if let Some(cap) = shared.quota.max_results_cap {
         req.max_results = Some(req.max_results.map_or(cap, |v| v.min(cap)));
     }
@@ -1138,43 +1096,54 @@ fn admit(conn: &mut Conn, mut req: EnumerateRequest, shared: &Arc<Shared>) {
     if let Some(cap) = shared.quota.node_budget_cap {
         req.node_budget = Some(req.node_budget.map_or(cap, |v| v.min(cap)));
     }
+    req.threads = resolve_threads(req.threads).min(THREAD_CAP);
 
-    serve_metrics().requests.incr();
-    shared.count_tenant_request(&req.tenant);
+    // The draining check, the per-tenant concurrency quota, the in-flight
+    // count and the queue push are one critical section, so a request is
+    // either refused or seen by the admission worker before it can exit.
     let cancel = CancelFlag::new();
-    let tenant = req.tenant.clone();
-    let pending = Pending {
-        req,
-        out: Arc::clone(&conn.out),
-        cancel: cancel.clone(),
-        tenant,
-        accepted_at: mtr_obs::clock(),
-    };
-    {
-        // Re-check the shutdown flag under the admission lock: the
-        // worker exits once it observes (shutting-down ∧ empty queue)
-        // under this same lock, so a request pushed here is guaranteed
-        // to be processed — without the re-check it could be stranded,
-        // wedging the drain with a phantom in-flight session.
-        let mut admission = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            drop(admission);
-            shared.release_tenant(&pending.tenant);
-            conn.queue_text(protocol::error_frame(&ProtocolError {
+    let accepted_at = mtr_obs::clock();
+    let mut lifecycle = shared.lifecycle();
+    let in_flight = lifecycle.tenants.get(&req.tenant).copied().unwrap_or(0);
+    if lifecycle.draining || in_flight >= shared.quota.max_concurrent_sessions {
+        let draining = lifecycle.draining;
+        drop(lifecycle);
+        conn.queue_text(protocol::error_frame(&if draining {
+            ProtocolError {
                 code: "shutting-down",
                 message: "daemon is draining".into(),
-            }));
-            return;
-        }
+            }
+        } else {
+            ProtocolError {
+                code: "quota-exceeded",
+                message: format!(
+                    "tenant \"{}\" already has {} in-flight sessions",
+                    req.tenant, shared.quota.max_concurrent_sessions
+                ),
+            }
+        }));
+        return;
+    }
+    let tenant = req.tenant.clone();
+    lifecycle.tenants.insert(tenant.clone(), in_flight + 1);
+    // Arm the connection before the push: once queued, the request may be
+    // finished by the admission worker at any time.
+    {
         let mut state = conn.out.state.lock().unwrap_or_else(|e| e.into_inner());
         state.finished = false;
-        state.cancel = Some(cancel);
-        drop(state);
-        shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        admission.push_back(pending);
+        state.cancel = Some(cancel.clone());
     }
-    conn.stage = Stage::Busy;
+    lifecycle.admission.push_back(Pending {
+        req,
+        out: Arc::clone(&conn.out),
+        cancel,
+        accepted_at,
+    });
+    drop(lifecycle);
     shared.admission_cv.notify_one();
+    conn.stage = Stage::Busy;
+    serve_metrics().requests.incr();
+    shared.count_tenant_request(&tenant);
 }
 
 /// The admission worker: pops validated requests, builds their graphs,
@@ -1182,22 +1151,9 @@ fn admit(conn: &mut Conn, mut req: EnumerateRequest, shared: &Arc<Shared>) {
 /// the session runners. Dedicated thread so `Graph::from_edges` +
 /// `decompose` + canonical-form probing never run on the IO thread.
 fn run_admission(shared: &Arc<Shared>) {
-    loop {
-        let pending = {
-            let mut admission = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(pending) = admission.pop_front() {
-                    break pending;
-                }
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                admission = shared
-                    .admission_cv
-                    .wait(admission)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        };
+    while let Some(pending) = shared.next_work(&shared.admission_cv, |lifecycle| {
+        lifecycle.admission.pop_front()
+    }) {
         classify_and_enqueue(pending, shared);
     }
 }
@@ -1208,7 +1164,7 @@ fn classify_and_enqueue(pending: Pending, shared: &Arc<Shared>) {
     // admission queue; skip the graph work entirely.
     if pending.cancel.is_cancelled() {
         pending.out.finish();
-        shared.retire(&pending.tenant);
+        shared.retire(&pending.req.tenant, None);
         return;
     }
 
@@ -1247,7 +1203,7 @@ fn classify_and_enqueue(pending: Pending, shared: &Arc<Shared>) {
     );
     if !pending.out.push(accepted.as_bytes()) {
         pending.out.finish();
-        shared.retire(&pending.tenant);
+        shared.retire(&pending.req.tenant, None);
         return;
     }
 
@@ -1256,54 +1212,41 @@ fn classify_and_enqueue(pending: Pending, shared: &Arc<Shared>) {
         graph,
         out: pending.out,
         cancel: pending.cancel,
-        tenant: pending.tenant,
         warm,
         accepted_at: pending.accepted_at,
     };
     {
-        let mut sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
+        let mut lifecycle = shared.lifecycle();
         if warm {
-            sched.warm.push_back(job);
+            lifecycle.warm.push_back(job);
         } else {
-            sched.cold.push_back(job);
+            lifecycle.cold.push_back(job);
         }
     }
-    shared.sched_cv.notify_one();
+    shared.runner_cv.notify_one();
 }
 
 /// A session-runner thread: pop warm-first, drive the engines, stream.
-fn run_sessions(shared: &Arc<Shared>) {
-    loop {
-        let job = {
-            let mut sched = shared.sched.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(job) = sched.warm.pop_front().or_else(|| sched.cold.pop_front()) {
-                    break job;
-                }
-                // An empty queue is not enough to exit on: a session
-                // admitted just before the shutdown signal may still be
-                // with the admission worker, and would be stranded in the
-                // queue with no runner left. Exit once nothing is in flight.
-                if shared.shutting_down.load(Ordering::SeqCst)
-                    && shared.in_flight.load(Ordering::SeqCst) == 0
-                {
-                    return;
-                }
-                sched = shared
-                    .sched_cv
-                    .wait(sched)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        // Watchdog supervision: a session still running past the cap is
-        // cancelled through its CancelFlag — the engines observe it at
-        // their next demand boundary and stop with `cancelled`.
-        let watch_token = shared.max_session_ms.map(|ms| {
-            shared.watch(
+/// `runner` indexes the thread's watchdog slot in
+/// [`Lifecycle::supervised`].
+fn run_sessions(shared: &Arc<Shared>, runner: usize) {
+    // Watchdog supervision starts at the pop: a session still running past
+    // the cap is cancelled through its CancelFlag — the engines observe it
+    // at their next demand boundary and stop with `cancelled`.
+    let pop = |lifecycle: &mut Lifecycle| {
+        let job = lifecycle
+            .warm
+            .pop_front()
+            .or_else(|| lifecycle.cold.pop_front())?;
+        lifecycle.supervised[runner] = shared.max_session_ms.map(|ms| {
+            (
                 Instant::now() + Duration::from_millis(ms),
                 job.cancel.clone(),
             )
         });
+        Some(job)
+    };
+    while let Some(job) = shared.next_work(&shared.runner_cv, pop) {
         // Panic isolation: a panicking session (a cost-function bug, a
         // fault-injected panic) must fail *this* request, not the
         // daemon. The client gets a typed `internal-error` frame; every
@@ -1322,10 +1265,7 @@ fn run_sessions(shared: &Arc<Shared>) {
             );
             job.out.finish();
         }
-        if let Some(token) = watch_token {
-            shared.unwatch(token);
-        }
-        shared.retire(&job.tenant);
+        shared.retire(&job.req.tenant, Some(runner));
     }
 }
 
@@ -1343,7 +1283,7 @@ fn run_one(job: &Job, shared: &Arc<Shared>) {
         serve_metrics().admission_wait_ns.record(duration_ns(wait));
     }
     let mut req_span = mtr_obs::span("serve.request");
-    req_span.attr("tenant", job.tenant.clone());
+    req_span.attr("tenant", job.req.tenant.clone());
     req_span.attr("queue", queue.to_string());
     // Chaos hook: `error` surfaces as a typed internal-error frame,
     // `panic` exercises the catch_unwind isolation in the caller.
@@ -1486,7 +1426,7 @@ fn run_one(job: &Job, shared: &Arc<Shared>) {
                     "\"admission_wait_ms\": {:.3}, \"first_result_ms\": {:.3}, ",
                     "\"total_ms\": {:.3}, \"results\": {}, \"stop_reason\": \"{}\"}}}}"
                 ),
-                crate::json::escape(&job.tenant),
+                crate::json::escape(&job.req.tenant),
                 queue,
                 ms(admission_wait.unwrap_or_default()),
                 ms(first),

@@ -422,6 +422,52 @@ fn watchdog_cancels_sessions_queued_during_drain() {
     }
 }
 
+/// The watchdog stops a session inside PMC enumeration, the part of
+/// preprocessing that polls the cancel flag: the done frame reports
+/// `cancelled` with no result and incomplete preprocessing, long before
+/// preprocessing could have finished.
+#[test]
+fn watchdog_cancels_sessions_in_pmc_enumeration() {
+    // The session must end by the watchdog, not by a fault another test
+    // armed on `serve.session.run`.
+    let _guard = fault_guard();
+    let handle = serve_ephemeral(ServerConfig {
+        workers: 1,
+        max_session_ms: Some(50),
+        allow_remote_shutdown: false,
+        ..ServerConfig::default()
+    })
+    .expect("bind daemon");
+    let addr = handle.local_addr().expect("tcp daemon").to_string();
+
+    // 1,091 minimal separators and 7,172 PMCs: uncapped, PMC enumeration
+    // takes about 1.9 s in a release build and 14 s in a debug one, where
+    // the flag is polled at least every 30 ms over the first 100 ms.
+    let g = ranked_triangulations::workloads::random::gnp_connected(30, 0.15, 5);
+    let request = request_for(&g, false, 1);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = Client::connect_tcp(&addr).expect("connect");
+        let _ = done_tx.send(client.enumerate(&request));
+    });
+    let (results, done) = done_rx
+        .recv_timeout(Duration::from_millis(500))
+        .expect("the done frame must arrive within 500 ms")
+        .expect("a watchdog cancel is a clean stop, not an error");
+    assert_eq!(done.stop_reason, "cancelled");
+    assert!(results.is_empty());
+    assert_eq!(
+        done.stats
+            .get("preprocessing_complete")
+            .and_then(|v| v.as_bool()),
+        Some(false),
+        "got: {}",
+        done.stats.render()
+    );
+
+    handle.shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Disk cache: crash safety
 // ---------------------------------------------------------------------------

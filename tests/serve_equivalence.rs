@@ -688,3 +688,170 @@ fn shutdown_while_request_pending_refuses_or_drains() {
         shutdown.join().expect("shutdown completes — no hang");
     }
 }
+
+/// A session's worker threads are capped at the daemon's limit: the wire
+/// `threads` field is client input, and each session thread is an OS
+/// thread.
+#[test]
+fn session_threads_are_capped() {
+    let handle = serve_ephemeral(ServerConfig {
+        workers: 1,
+        allow_remote_shutdown: false,
+        ..ServerConfig::default()
+    })
+    .expect("bind daemon");
+    let addr = handle.local_addr().expect("tcp daemon").to_string();
+
+    let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+    let mut req = request_for(&g, "fill", false, None);
+    req.threads = 9;
+    let (served, done) = Client::connect_tcp(&addr)
+        .expect("connect")
+        .enumerate(&req)
+        .expect("served request");
+    assert_eq!(done.stop_reason, "exhausted");
+    assert_eq!(served.len(), direct_stream(&g, "fill", None).len());
+    assert_eq!(
+        done.stats.get("effective_threads").and_then(|v| v.as_u64()),
+        Some(8),
+        "got: {}",
+        done.stats.render()
+    );
+    handle.shutdown();
+}
+
+/// SplitMix64, the drain sweep's seeded source of schedules.
+struct SplitMix(u64);
+
+impl SplitMix {
+    /// A value in `0..n`.
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+}
+
+/// A seeded sweep of drain schedules. Each schedule starts a one-runner
+/// daemon, sends one to three requests on separate connections (some
+/// cached, so admission decomposes the graph and probes the store), and
+/// shuts the daemon down after a seeded delay of 0–1,000 µs. One schedule
+/// in ten also caps sessions and sends a runaway request that only the
+/// watchdog can end. Every shutdown must return within a bound, and every
+/// request must end in one of four ways: its complete stream, a
+/// `cancelled` done frame for the runaway, a `shutting-down` refusal, or a
+/// transport close before any result.
+#[test]
+fn seeded_drain_schedules_end_every_request() {
+    const SCHEDULES: u64 = 200;
+    // The session cap of the schedules with a runaway: far above the other
+    // requests' run time (a few ms in a debug build), far below the
+    // runaway's (about 1 s exhausting it in a release build).
+    const CAP_MS: u64 = 100;
+    // Three 4-cycles glued at a cut vertex and along an edge: three atoms,
+    // two of them isomorphic, and eight minimal triangulations of equal
+    // fill, so the direct stream's tie order is pinned too.
+    let g = Graph::from_edges(
+        9,
+        &[
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 0),
+            (0, 4),
+            (4, 5),
+            (5, 6),
+            (6, 0),
+            (6, 7),
+            (7, 8),
+            (8, 5),
+        ],
+    );
+    let reference = direct_stream(&g, "fill", None);
+    let reference_costs: Vec<u64> = reference.iter().map(|(c, _)| c.to_bits()).collect();
+    let runaway = ranked_triangulations::workloads::structured::mycielski(5);
+    let (mut completed, mut watchdog_cancels) = (0, 0);
+    for seed in 0..SCHEDULES {
+        let mut rng = SplitMix(seed);
+        let capped = rng.below(10) == 0;
+        let handle = serve_ephemeral(ServerConfig {
+            workers: 1,
+            max_session_ms: capped.then_some(CAP_MS),
+            allow_remote_shutdown: false,
+            ..ServerConfig::default()
+        })
+        .expect("bind daemon");
+        let addr = handle.local_addr().expect("tcp daemon").to_string();
+
+        let requests: Vec<(bool, EnumerateRequest)> = (0..1 + rng.below(3))
+            .map(|i| match capped && i == 0 {
+                true => (true, request_for(&runaway, "fill", false, None)),
+                false => (false, request_for(&g, "fill", rng.below(2) == 1, None)),
+            })
+            .collect();
+        let clients: Vec<_> = requests
+            .into_iter()
+            .map(|(is_runaway, req)| {
+                let addr = addr.clone();
+                std::thread::spawn(move || {
+                    let mut served: Stream = Vec::new();
+                    let outcome = Client::connect_tcp(&addr).and_then(|mut client| {
+                        client.enumerate_streaming(&req, |r| served.push((r.cost, r.fill)))
+                    });
+                    (is_runaway, req.cache, served, outcome)
+                })
+            })
+            .collect();
+
+        let delay = Duration::from_micros(rng.below(1001));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            std::thread::sleep(delay);
+            handle.shutdown();
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("schedule {seed}: shutdown did not return within 10 s"));
+
+        for client in clients {
+            let (is_runaway, cached, served, outcome) = client.join().expect("client thread");
+            match outcome {
+                Ok(done) if is_runaway => {
+                    assert_eq!(done.stop_reason, "cancelled", "schedule {seed}: runaway");
+                    watchdog_cancels += 1;
+                }
+                Ok(done) => {
+                    assert_eq!(done.stop_reason, "exhausted", "schedule {seed}: truncated");
+                    if cached {
+                        let costs: Vec<u64> = served.iter().map(|(c, _)| c.to_bits()).collect();
+                        assert_eq!(costs, reference_costs, "schedule {seed}: cached costs");
+                        assert_eq!(fill_set(&served), fill_set(&reference), "schedule {seed}");
+                    } else {
+                        assert_eq!(served.len(), reference.len(), "schedule {seed}");
+                        for (s, r) in served.iter().zip(&reference) {
+                            assert_eq!(s.0.to_bits(), r.0.to_bits(), "schedule {seed}");
+                            assert_eq!(&s.1, &r.1, "schedule {seed}: fill or tie order");
+                        }
+                    }
+                    completed += 1;
+                }
+                Err(ClientError::Server { code, .. }) => {
+                    assert_eq!(code, "shutting-down", "schedule {seed}: the only refusal");
+                }
+                Err(ClientError::Io(_)) => {
+                    assert!(served.is_empty(), "schedule {seed}: stream cut short");
+                }
+                Err(other) => panic!("schedule {seed}: unexpected failure mode: {other}"),
+            }
+        }
+    }
+    // The sweep reaches both ends of the drain it is built to check.
+    assert!(completed > 0, "no request was drained to completion");
+    assert!(
+        watchdog_cancels > 0,
+        "no runaway was admitted before its drain"
+    );
+}
