@@ -785,15 +785,14 @@ fn seeded_drain_schedules_end_every_request() {
         .expect("bind daemon");
         let addr = handle.local_addr().expect("tcp daemon").to_string();
 
-        let requests: Vec<(bool, EnumerateRequest)> = (0..1 + rng.below(3))
-            .map(|i| match capped && i == 0 {
-                true => (true, request_for(&runaway, "fill", false, None)),
-                false => (false, request_for(&g, "fill", rng.below(2) == 1, None)),
-            })
-            .collect();
-        let clients: Vec<_> = requests
-            .into_iter()
-            .map(|(is_runaway, req)| {
+        let clients: Vec<_> = (0..1 + rng.below(3))
+            .map(|i| {
+                let is_runaway = capped && i == 0;
+                let req = if is_runaway {
+                    request_for(&runaway, "fill", false, None)
+                } else {
+                    request_for(&g, "fill", rng.below(2) == 1, None)
+                };
                 let addr = addr.clone();
                 std::thread::spawn(move || {
                     let mut served: Stream = Vec::new();
